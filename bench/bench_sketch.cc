@@ -5,7 +5,7 @@
 // Section A — transfer. A star-ish workload whose probe sides carry many
 // rows that can never find a build partner. With predicate transfer off
 // the full probe side enters the shuffle; with it on, the build side's
-// key filter prunes those rows before Repartition. The same A/B runs on
+// key filter prunes those rows before the shuffle. The same A/B runs on
 // TPC-H Q9, one of the paper's evaluation queries, where the filtered
 // part/orders intermediates prune most of lineitem. Each cell reports
 // shuffled bytes, the filter bytes shipped and the probe bytes pruned.

@@ -23,11 +23,12 @@ namespace dynopt {
 /// because rows are dynamically typed — fall back to a Value-per-row
 /// representation that round-trips exactly.
 ///
-/// Row `Dataset` remains the storage and materialization boundary:
-/// FromDataset/ToDataset convert losslessly, and every batch carries the
-/// same per-row byte sizes (`row_sizes`) the row engine annotates, computed
-/// from column widths at batch creation, so network/disk metering is
-/// byte-for-byte identical on both paths.
+/// Row storage remains the boundary: scans slice row-stored tables into
+/// batches, job results and spill files are rows. FromDataset/ToDataset
+/// convert losslessly, and every batch carries the per-row byte sizes
+/// (`row_sizes`, RowSizeBytes of each row) computed from column widths at
+/// batch creation, so network/disk metering equals the row-based cost
+/// model byte for byte.
 
 /// Physical layout of one column vector.
 enum class ColumnKind : uint8_t {
@@ -204,7 +205,7 @@ struct ColumnVector {
 
 /// A fixed-capacity horizontal slice of a partition: `num_rows` rows across
 /// `columns.size()` column vectors, plus the per-row cost-model byte sizes
-/// (8-byte row header + value sizes — the same annotation the row engine's
+/// (8-byte row header + value sizes — the same annotation
 /// `Dataset::row_sizes` carries), always computed at batch creation.
 struct ColumnBatch {
   size_t num_rows = 0;

@@ -81,22 +81,15 @@ struct MemoryGovernanceConfig {
 };
 
 /// Execution-engine knobs independent of the simulated cost model. These
-/// change *how* operators run (vectorized batches vs. row-at-a-time), never
-/// *what* they meter: with any valid setting the deterministic counters and
-/// simulated seconds are byte-for-byte identical.
+/// change *how* operators run, never *what* they meter: with any valid
+/// setting the deterministic counters and simulated seconds are
+/// byte-for-byte identical.
 struct ExecOptions {
-  /// Capacity of one ColumnBatch (rows) in the vectorized engine. Larger
-  /// batches amortize per-batch dispatch; smaller batches keep the working
-  /// set of a filter/hash kernel L1/L2-resident. Must be >= 1
-  /// (ValidateClusterConfig rejects 0, which would underflow the
-  /// batch-capacity math).
+  /// Capacity of one ColumnBatch (rows). Larger batches amortize per-batch
+  /// dispatch; smaller batches keep the working set of a filter/hash kernel
+  /// L1/L2-resident. Must be >= 1 (ValidateClusterConfig rejects 0, which
+  /// would underflow the batch-capacity math).
   size_t max_batch_size = 1024;
-  /// Run scans/filters/projections/shuffle-joins through the columnar batch
-  /// engine (exec/batch.h, exec/vector_kernels.h). Row `Dataset` remains
-  /// the conversion boundary at scan and materialization, so serde, spill
-  /// files and fault-injection checksums are unchanged. Off = the original
-  /// row-at-a-time operators.
-  bool use_columnar = true;
 };
 
 /// Admission-control knobs for concurrent queries. Defaults allow modest
@@ -210,7 +203,7 @@ struct SketchConfig {
   /// Build Bloom + Fast-AGMS sketches on join keys during scans and
   /// materializations, and ship the build side's Bloom filter sideways to
   /// the probe side of every shuffle join so pruned rows never enter the
-  /// Repartition. Filter-transfer bytes are charged as network cost;
+  /// shuffle. Filter-transfer bytes are charged as network cost;
   /// pruned bytes are network cost saved.
   bool enable_predicate_transfer = false;
   /// Bloom budget in bits per expected key. More bits = lower false-positive

@@ -32,7 +32,8 @@ inline int LinearColumnIndex(const std::vector<std::string>& columns,
   return -1;
 }
 
-/// A runtime, node-partitioned rowset flowing between physical operators.
+/// A node-partitioned rowset: the result of a job (converted from the
+/// executor's column batches at the root) and the input of Materialize.
 /// Columns carry fully qualified names ("ss.ss_item_sk"); intermediate
 /// results keep the qualified names of their inputs so reconstruction of
 /// the remaining query needs no renaming.
@@ -41,13 +42,12 @@ struct Dataset {
   std::vector<std::vector<Row>> partitions;
 
   /// Optional per-row byte sizes, parallel to `partitions`: when non-empty,
-  /// row_sizes[p][i] == RowSizeBytes(partitions[p][i]). Producers that
-  /// already have every value in cache (scan projection, join emission)
-  /// record sizes for ~free; the shuffle then meters network bytes from
-  /// this 8-byte-per-row array instead of re-walking each row's payload
-  /// (the dominant memory traffic of routing). Operators that cannot
-  /// maintain the invariant must leave/clear it empty — consumers validate
-  /// shape via HasRowSizes() and fall back to computing sizes.
+  /// row_sizes[p][i] == RowSizeBytes(partitions[p][i]). ToDataset carries
+  /// the batches' annotation over, so Materialize and FromDataset meter
+  /// from this 8-byte-per-row array instead of re-walking each row's
+  /// payload. Producers that cannot maintain the invariant must leave it
+  /// empty — consumers validate shape via HasRowSizes() and fall back to
+  /// computing sizes.
   std::vector<std::vector<uint64_t>> row_sizes;
 
   Dataset() = default;
@@ -82,17 +82,6 @@ struct Dataset {
       for (const auto& row : p) b += RowSizeBytes(row);
     }
     return b;
-  }
-
-  /// Largest single-partition byte size (drives max-over-nodes timing).
-  uint64_t MaxPartitionBytes() const {
-    uint64_t mx = 0;
-    for (const auto& p : partitions) {
-      uint64_t b = 0;
-      for (const auto& row : p) b += RowSizeBytes(row);
-      if (b > mx) mx = b;
-    }
-    return mx;
   }
 
   /// All rows concatenated (result delivery / tests).

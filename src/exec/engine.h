@@ -27,7 +27,9 @@ namespace dynopt {
 class Engine {
  public:
   explicit Engine(const ClusterConfig& cluster = ClusterConfig())
-      : cluster_(cluster), pool_(0) {}
+      : cluster_(cluster),
+        pool_(0),
+        retry_budget_(std::make_unique<RetryBudget>(cluster_.retry_budget)) {}
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -89,13 +91,12 @@ class Engine {
         &metrics_);
   }
 
-  /// Engine-wide retry-budget token bucket, built lazily from
-  /// cluster().retry_budget. Disabled at defaults (unlimited retries, the
-  /// pre-budget behavior); every executor this engine makes draws from it.
-  RetryBudget& retry_budget() {
-    if (retry_budget_ == nullptr) RearmRetryBudget();
-    return *retry_budget_;
-  }
+  /// Engine-wide retry-budget token bucket, built from
+  /// cluster().retry_budget at construction (not lazily: MakeExecutor may
+  /// be called from several threads at once). Disabled at defaults
+  /// (unlimited retries, the pre-budget behavior); every executor this
+  /// engine makes draws from it.
+  RetryBudget& retry_budget() { return *retry_budget_; }
 
   /// (Re)builds the retry budget from the current cluster().retry_budget
   /// (refilled to capacity). Call after editing mutable_cluster(); must not

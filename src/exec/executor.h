@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,8 @@
 
 namespace dynopt {
 
+class BatchSink;
+
 /// Output of running one job.
 struct JobResult {
   Dataset data;
@@ -40,32 +41,28 @@ struct SinkResult {
 };
 
 /// A repartitioned dataset plus the key hash of every row, computed once
-/// during routing. hashes[p][i] == HashRowKey(data.partitions[p][i], keys)
-/// for the key set the shuffle ran on; the local hash join consumes them so
-/// build and probe never rehash.
-struct ShuffleResult {
-  Dataset data;
-  std::vector<std::vector<uint64_t>> hashes;
-};
-
-/// Columnar analogue of ShuffleResult: hashes[p][i] is the key hash of the
-/// i-th row of partition p in batch-concatenation order (the flat row index
-/// space the columnar join builds its table over).
+/// during routing: hashes[p][i] is the key hash of the i-th row of
+/// partition p in batch-concatenation order (the flat row index space the
+/// join builds its table over), so build and probe never rehash.
 struct ColumnarShuffleResult {
   ColumnarDataset data;
   std::vector<std::vector<uint64_t>> hashes;
 };
 
 /// Executes physical job plans against the simulated cluster: operators run
-/// partition-parallel on a thread pool, and every unit of work (bytes
-/// scanned/shuffled/broadcast/materialized, tuples, index lookups) is
-/// metered and converted to simulated seconds under the ClusterConfig cost
-/// model. Per pipeline stage, simulated time is max-over-nodes.
+/// partition-parallel on a thread pool over column batches (exec/batch.h),
+/// and every unit of work (bytes scanned/shuffled/broadcast/materialized,
+/// tuples, index lookups, spilled bytes) is metered and converted to
+/// simulated seconds under the ClusterConfig cost model. Per pipeline
+/// stage, simulated time is max-over-nodes. Row `Dataset`s appear only
+/// where storage is row-based: the scanned tables, the job result, the
+/// Materialize sink and the grace join's spill files.
 ///
-/// The data-movement kernels (Repartition / LocalHashJoin) are public:
-/// tests compare them against the sequential reference implementation in
-/// exec/reference_kernels.h, and bench/bench_kernels.cc times them. Their
-/// simulated-seconds metering is byte-for-byte identical to the reference.
+/// The data-movement kernels (RepartitionColumnar / LocalHashJoinColumnar)
+/// are public: tests compare them against the sequential reference
+/// implementation in exec/reference_kernels.h, and bench/bench_kernels.cc
+/// times them. Their simulated-seconds metering is byte-for-byte identical
+/// to the reference.
 /// When a FaultInjector is armed (Engine::ArmFaultInjection), every kernel
 /// additionally draws deterministic task failures, stragglers and temp-file
 /// corruption; re-executed work and unhidden slowdown are charged to
@@ -119,43 +116,25 @@ class JobExecutor {
 
   /// Hash-repartitions `input` on `key_indices` into the cluster's node
   /// count, metering network traffic. Two-phase parallel exchange: phase 1
-  /// routes each source partition on the thread pool (computing each row's
-  /// key hash exactly once) into thread-local per-destination buffers;
-  /// phase 2 merges the buffers per destination, in source-partition order,
-  /// so the output row order matches a sequential shuffle. Fails only under
-  /// fault injection (retryable kTransient).
-  Result<ShuffleResult> Repartition(Dataset&& input,
-                                    const std::vector<int>& key_indices,
-                                    ExecMetrics* metrics);
-
-  /// Local hash join between aligned partitions (equal-length partition
-  /// vectors); emits build-row ++ probe-row. When `build_hashes` /
-  /// `probe_hashes` are non-null (per-partition key hashes from
-  /// Repartition) the join reuses them instead of rehashing. Fails only
-  /// under fault injection (retryable kTransient).
-  Result<Dataset> LocalHashJoin(
-      const Dataset& build, const Dataset& probe,
-      const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
-      ExecMetrics* metrics,
-      const std::vector<std::vector<uint64_t>>* build_hashes = nullptr,
-      const std::vector<std::vector<uint64_t>>* probe_hashes = nullptr);
-
-  /// Vectorized shuffle: same routing function, metering, fault sites and
-  /// output row order as Repartition, but batch-at-a-time — phase 1 hashes
-  /// key columns with HashKeyColumns, phase 2 scatters per *destination*
-  /// (each destination gathers its rows from every source batch in order,
-  /// so writers never share state). Public for parity tests and benchmarks.
+  /// hashes every source partition's key columns with HashKeyColumns
+  /// (each row's key hash computed exactly once) and records destinations;
+  /// phase 2 scatters per *destination* (each destination gathers its rows
+  /// from every source batch in order, so writers never share state and the
+  /// output row order matches a sequential shuffle). Fails only under fault
+  /// injection (retryable kTransient).
   Result<ColumnarShuffleResult> RepartitionColumnar(
       ColumnarDataset&& input, const std::vector<int>& key_indices,
       ExecMetrics* metrics);
 
-  /// Vectorized local hash join (in-memory path only — spill-governed joins
-  /// take the row engine; callers must guarantee a zero join memory
-  /// budget). Build batches are concatenated per partition so the flat
-  /// table of JoinHashTable::BuildFromHashes indexes them directly; probing
-  /// walks probe batches emitting gathered build++probe columns. Metering,
-  /// fault sites and emission order are byte-for-byte identical to
-  /// LocalHashJoin.
+  /// Local hash join between aligned partitions (equal-length partition
+  /// vectors); emits build-row ++ probe-row columns. Build batches are
+  /// concatenated per partition so the flat table of
+  /// JoinHashTable::BuildFromHashes indexes them directly; when
+  /// `build_hashes` / `probe_hashes` are non-null (per-partition key hashes
+  /// from RepartitionColumnar) the join reuses them instead of rehashing.
+  /// A build partition larger than the join memory budget takes the grace
+  /// hash join (GraceJoinPartition). Fails under fault injection
+  /// (retryable kTransient), on spill I/O errors and on cancellation.
   Result<ColumnarDataset> LocalHashJoinColumnar(
       const ColumnarDataset& build, const ColumnarDataset& probe,
       const std::vector<int>& build_keys, const std::vector<int>& probe_keys,
@@ -166,44 +145,25 @@ class JobExecutor {
   const ClusterConfig& cluster() const { return cluster_; }
 
  private:
-  Result<Dataset> ExecNode(const PlanNode& node,
-                           const std::map<std::string, Value>& params,
-                           ExecMetrics* metrics);
-  Result<Dataset> ExecScan(const PlanNode& node, ExecMetrics* metrics);
-  Result<Dataset> ExecFilter(const PlanNode& node,
-                             const std::map<std::string, Value>& params,
-                             ExecMetrics* metrics);
-  Result<Dataset> ExecProject(const PlanNode& node,
-                              const std::map<std::string, Value>& params,
-                              ExecMetrics* metrics);
-  Result<Dataset> ExecJoin(const PlanNode& node,
-                           const std::map<std::string, Value>& params,
-                           ExecMetrics* metrics);
-  /// Join body shared by the row path and the columnar spill fallback: the
-  /// children are already executed; shuffles/broadcasts and joins `build`
-  /// against `probe` per node.method.
-  Result<Dataset> ExecJoinWithInputs(const PlanNode& node, Dataset&& build,
-                                     Dataset&& probe, ExecMetrics* metrics);
-  Result<Dataset> ExecIndexNestedLoopJoin(
+  /// The operator tree. Scans slice the row-stored tables into batches;
+  /// every other operator consumes and produces batches.
+  Result<ColumnarDataset> ExecNode(const PlanNode& node,
+                                   const std::map<std::string, Value>& params,
+                                   ExecMetrics* metrics);
+  Result<ColumnarDataset> ExecScan(const PlanNode& node, ExecMetrics* metrics);
+  Result<ColumnarDataset> ExecFilter(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);
-
-  /// Columnar operator tree (cluster_.exec.use_columnar). Each operator is
-  /// metering-identical to its row twin; joins that cannot run columnar
-  /// (index nested loop; spill-governed hash joins) fall back to the row
-  /// operators through the FromDataset/ToDataset conversion boundary.
-  Result<ColumnarDataset> ExecNodeColumnar(
+  Result<ColumnarDataset> ExecProject(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecScanColumnar(const PlanNode& node,
-                                           ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecFilterColumnar(
-      const PlanNode& node, const std::map<std::string, Value>& params,
-      ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecProjectColumnar(
-      const PlanNode& node, const std::map<std::string, Value>& params,
-      ExecMetrics* metrics);
-  Result<ColumnarDataset> ExecJoinColumnar(
+  Result<ColumnarDataset> ExecJoin(const PlanNode& node,
+                                   const std::map<std::string, Value>& params,
+                                   ExecMetrics* metrics);
+  /// Broadcasts the outer (child 0) to every node, where each row probes
+  /// the row-stored inner table's SecondaryIndex; matches are gathered
+  /// into batches of outer columns ++ the inner scan's projected columns.
+  Result<ColumnarDataset> ExecIndexNestedLoopJoin(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);
 
@@ -216,26 +176,18 @@ class JobExecutor {
     return sketches_ != nullptr && cluster_.sketch.enable_predicate_transfer;
   }
 
-  /// Sideways pushdown for a shuffle join (row engine): builds a Bloom
-  /// filter over the build side's non-null key hashes, charges its transfer
-  /// to every node as network cost, then drops probe rows whose key cannot
-  /// match (null key or filter miss) before they enter Repartition. Pruned
-  /// rows/bytes are recorded in the pt_* counters; Bloom filters have no
-  /// false negatives, so results are identical with the knob off.
-  void TransferPredicateRows(const Dataset& build,
-                             const std::vector<int>& build_keys,
-                             Dataset* probe,
-                             const std::vector<int>& probe_keys,
-                             ExecMetrics* metrics);
-
-  /// Columnar twin of TransferPredicateRows: hashes key columns with
-  /// HashKeyColumns (bit-identical to the row hash) and gathers surviving
-  /// rows through a selection vector.
-  void TransferPredicateColumnar(const ColumnarDataset& build,
-                                 const std::vector<int>& build_keys,
-                                 ColumnarDataset* probe,
-                                 const std::vector<int>& probe_keys,
-                                 ExecMetrics* metrics);
+  /// Sideways pushdown for a shuffle join: builds a Bloom filter over the
+  /// build side's non-null key hashes, charges its transfer to every node
+  /// as network cost, then drops probe rows whose key cannot match (null
+  /// key or filter miss) before they enter the shuffle, gathering the
+  /// survivors through a selection vector. Pruned rows/bytes are recorded
+  /// in the pt_* counters; Bloom filters have no false negatives, so
+  /// results are identical with the knob off.
+  void TransferPredicate(const ColumnarDataset& build,
+                         const std::vector<int>& build_keys,
+                         ColumnarDataset* probe,
+                         const std::vector<int>& probe_keys,
+                         ExecMetrics* metrics);
 
   /// Cooperative cancellation check, run at every kernel/stage boundary.
   /// OK when no context is attached.
@@ -253,29 +205,26 @@ class JobExecutor {
     double spill_seconds = 0;       ///< Simulated disk+CPU cost of spilling.
   };
 
-  /// Grace hash join of one overflowing partition: recursively splits build
-  /// and probe by a re-salted key hash into checksummed spill files under
-  /// spill_directory, then joins each sub-partition pair (in memory once it
-  /// fits the budget, or unconditionally at max_spill_recursion — a single
-  /// query always completes). Emits into `dest`/`dest_sizes` (sizes skipped
-  /// when null) and accounts everything in `stats`. Spill files are removed
-  /// as consumed and on error.
-  Status GraceJoinPartition(const std::vector<Row>& build_rows,
-                            const std::vector<Row>& probe_rows,
+  /// Grace hash join of one overflowing partition (`build`/`probe` are its
+  /// flat batches): recursively splits both sides by a re-salted key hash
+  /// (Mix64(HashKeyColumns(...) ^ salt)) into checksummed DRB row files
+  /// under spill_directory, then joins each sub-partition pair (in memory
+  /// once it fits the budget, or unconditionally at max_spill_recursion — a
+  /// single query always completes). Emits into `sink` and accounts
+  /// everything in `stats`. Spill files are removed as consumed and on
+  /// error.
+  Status GraceJoinPartition(const ColumnBatch& build, const ColumnBatch& probe,
                             const std::vector<int>& build_keys,
                             const std::vector<int>& probe_keys, int depth,
                             uint64_t salt, size_t part, uint64_t* work,
-                            std::vector<Row>* dest,
-                            std::vector<uint64_t>* dest_sizes,
-                            SpillStats* stats);
+                            BatchSink* sink, SpillStats* stats);
 
   /// In-memory leaf join used by GraceJoinPartition (single partition, own
   /// throwaway hash table; NULL build/probe keys never match).
-  void LeafHashJoin(const std::vector<Row>& build_rows,
-                    const std::vector<Row>& probe_rows,
+  void LeafHashJoin(const ColumnBatch& build, const ColumnBatch& probe,
                     const std::vector<int>& build_keys,
                     const std::vector<int>& probe_keys, uint64_t* work,
-                    std::vector<Row>* dest, std::vector<uint64_t>* dest_sizes);
+                    BatchSink* sink);
 
   /// Overlays injected faults on one completed kernel stage whose clean
   /// per-node task times are `per_node_seconds`. Draws a fresh stage id
@@ -290,20 +239,6 @@ class JobExecutor {
   Status ApplyFaults(FaultSite site,
                      const std::vector<double>& per_node_seconds,
                      ExecMetrics* metrics, int stage = -1);
-
-  /// Scratch recycling: the shuffle and join kernels allocate
-  /// multi-hundred-KB header vectors (destination row vectors, hash
-  /// vectors, join tables) on every call, which glibc serves straight from
-  /// mmap — so every operator pays fresh first-touch page faults for memory
-  /// an earlier operator just released. These helpers keep emptied vectors
-  /// (capacity intact, contents cleared) on a small bounded pool instead.
-  /// The mutex only guards pool membership; pooled objects are always taken
-  /// and returned from serial sections, never inside ParallelFor bodies.
-  std::vector<Row> TakeRowVec();
-  void RecycleRowVec(std::vector<Row>&& v);
-  std::vector<uint64_t> TakeHashVec();
-  void RecycleHashVec(std::vector<uint64_t>&& v);
-  void RecycleShuffleResult(ShuffleResult&& parts);
 
   Catalog* catalog_;
   StatsManager* stats_;
@@ -321,15 +256,11 @@ class JobExecutor {
   /// colliding.
   static inline std::atomic<uint64_t> spill_serial_{0};
 
-  std::mutex scratch_mutex_;
-  std::vector<std::vector<Row>> row_vec_pool_;
-  std::vector<std::vector<uint64_t>> hash_vec_pool_;
-
-  /// Join build tables, reused across LocalHashJoin calls so the bucket /
-  /// chain / hash vectors keep their capacity instead of being reallocated
-  /// for every join of a pipeline. Only touched from LocalHashJoin, which
-  /// runs one join at a time (each ParallelFor body writes a distinct
-  /// element).
+  /// Join build tables, reused across LocalHashJoinColumnar calls so the
+  /// bucket / chain / hash vectors keep their capacity instead of being
+  /// reallocated for every join of a pipeline. Only touched from
+  /// LocalHashJoinColumnar, which runs one join at a time (each ParallelFor
+  /// body writes a distinct element).
   std::vector<JoinHashTable> join_tables_;
 };
 

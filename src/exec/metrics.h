@@ -73,7 +73,7 @@ struct ExecMetrics {
   // has a machine-readable trajectory (bench_kernels / BENCH_kernels.json)
   // while the simulated seconds stay byte-for-byte stable.
 
-  /// Shuffle exchange (Repartition): routing + merge, both phases.
+  /// Shuffle exchange (RepartitionColumnar): routing + gather, both phases.
   double wall_shuffle_seconds = 0;
   /// Hash-join build phase (hash-table construction over the build side).
   double wall_build_seconds = 0;

@@ -5,12 +5,33 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "exec/join_hash_table.h"
 
 namespace dynopt {
 namespace reference {
 
 namespace {
+
+/// True when any of the key slots of `row` is NULL (SQL equi-join
+/// semantics: NULL keys never match, so such rows are skipped on both the
+/// build and the probe side).
+bool AnyJoinKeyNull(const Row& row, const std::vector<int>& keys) {
+  for (int k : keys) {
+    if (row[static_cast<size_t>(k)].is_null()) return true;
+  }
+  return false;
+}
+
+/// Compares the key slots of two rows position-wise.
+bool JoinKeysEqual(const Row& a, const std::vector<int>& a_keys,
+                   const Row& b, const std::vector<int>& b_keys) {
+  for (size_t i = 0; i < a_keys.size(); ++i) {
+    if (a[static_cast<size_t>(a_keys[i])] !=
+        b[static_cast<size_t>(b_keys[i])]) {
+      return false;
+    }
+  }
+  return true;
+}
 
 uint64_t MaxOver(const std::vector<uint64_t>& per_node) {
   uint64_t mx = 0;

@@ -15,15 +15,14 @@ namespace dynopt {
 
 class UdfRegistry;
 
-/// Vectorized kernels over ColumnBatch: per-column loops that replace the
-/// row engine's per-row variant dispatch with tight typed loops (the
-/// DYNOPT_NATIVE_SIMD build compiles this translation unit with
-/// -march=native). Every kernel is bit-identical to its row counterpart in
-/// exec/row_kernels.h — same hash math, same byte sizes, same comparison
+/// Vectorized kernels over ColumnBatch: per-column loops that replace
+/// per-row variant dispatch with tight typed loops (the DYNOPT_NATIVE_SIMD
+/// build compiles this translation unit with -march=native). Every kernel
+/// is bit-identical to its per-row counterpart in exec/row_kernels.h and
+/// common/value.h — same hash math, same byte sizes, same comparison
 /// semantics (including the all-numeric-comparisons-coerce-to-double rule
-/// of Value::Compare) — which is what lets the columnar engine keep the
-/// deterministic counters and simulated seconds byte-for-byte equal to the
-/// row path.
+/// of Value::Compare) — which is what keeps the deterministic counters and
+/// simulated seconds byte-for-byte equal to the seed reference kernels.
 
 /// Combined key hash of every row of `batch` into `out`, bit-identical to
 /// HashRowKeyInline(row, keys): seeded, then HashCombine of each key
@@ -124,7 +123,7 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
 
 /// A filter predicate compiled against a batch schema: evaluates
 /// column-at-a-time into a tri-state mask (false / true / NULL) with the
-/// same semantics as the row engine's BoundExpr tree — leaf comparisons
+/// same semantics as the BoundExpr tree of plan/expr.h — leaf comparisons
 /// propagate NULL, AND/OR/NOT coerce their children through EvalBool
 /// (NULL -> false), and the top-level filter applies the same coercion.
 /// Compilation resolves column names to slots once (never inside the batch

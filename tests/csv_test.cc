@@ -81,7 +81,9 @@ TEST(CsvLoadTest, LoadsAndPartitions) {
         found_bob = true;
         EXPECT_TRUE(row[2].is_null());
       }
-      if (row[0] == Value(3)) EXPECT_EQ(row[1], Value("c,d"));
+      if (row[0] == Value(3)) {
+        EXPECT_EQ(row[1], Value("c,d"));
+      }
     }
   }
   EXPECT_TRUE(found_bob);

@@ -1,7 +1,8 @@
-// Property tests for the two-phase parallel shuffle exchange and the flat
-// hash-join kernel: against the sequential reference implementation
-// (exec/reference_kernels.h, the pre-parallel executor kernels) the
-// parallel kernels must produce identical rows and identical metering —
+// Property tests for the executor's two-phase parallel shuffle exchange
+// (RepartitionColumnar) and flat hash-join kernel (LocalHashJoinColumnar):
+// driven through FromDataset/ToDataset, against the sequential reference
+// implementation (exec/reference_kernels.h, the pre-parallel executor
+// kernels) they must produce identical rows and identical metering —
 // bytes_shuffled, tuples_processed and bit-identical simulated_seconds —
 // across uniform, skewed (Zipf), NULL-key, composite-key and
 // empty-partition inputs. Plus ThreadPool stress tests for the nested /
@@ -19,6 +20,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "exec/batch.h"
 #include "exec/engine.h"
 #include "exec/executor.h"
 #include "exec/reference_kernels.h"
@@ -82,7 +84,18 @@ Dataset MakeDataset(const DatasetSpec& spec) {
   return data;
 }
 
-Dataset CopyDataset(const Dataset& data) { return data; }
+/// Batch size for kernel inputs: small enough that every partition spans
+/// several batches, so batch boundaries are exercised.
+constexpr size_t kInputBatch = 64;
+
+ColumnarDataset ToColumnar(const Dataset& data) {
+  return FromDataset(data, kInputBatch);
+}
+
+/// Row view of a kernel output, leaving the output itself intact.
+Dataset RowsOf(const ColumnarDataset& data) {
+  return ToDataset(ColumnarDataset(data));
+}
 
 class ExchangeTest : public ::testing::Test {
  protected:
@@ -103,40 +116,41 @@ void ExpectPipelineParityWith(JobExecutor executor,
                               const std::vector<int>& build_keys,
                               const std::vector<int>& probe_keys) {
   ExecMetrics par_metrics;
-  ShuffleResult build_parts = MustOk(
-      executor.Repartition(CopyDataset(build_in), build_keys, &par_metrics));
-  ShuffleResult probe_parts = MustOk(
-      executor.Repartition(CopyDataset(probe_in), probe_keys, &par_metrics));
-  Dataset par_out = MustOk(executor.LocalHashJoin(
-      build_parts.data, probe_parts.data, build_keys, probe_keys,
-      &par_metrics, &build_parts.hashes, &probe_parts.hashes));
+  ColumnarShuffleResult build_shuffled = MustOk(executor.RepartitionColumnar(
+      ToColumnar(build_in), build_keys, &par_metrics));
+  ColumnarShuffleResult probe_shuffled = MustOk(executor.RepartitionColumnar(
+      ToColumnar(probe_in), probe_keys, &par_metrics));
+  const Dataset par_out = ToDataset(MustOk(executor.LocalHashJoinColumnar(
+      build_shuffled.data, probe_shuffled.data, build_keys, probe_keys,
+      &par_metrics, &build_shuffled.hashes, &probe_shuffled.hashes)));
+  const Dataset build_parts = RowsOf(build_shuffled.data);
+  const Dataset probe_parts = RowsOf(probe_shuffled.data);
 
   ExecMetrics ref_metrics;
-  Dataset ref_build = reference::Repartition(CopyDataset(build_in),
-                                             build_keys, cluster, &ref_metrics);
-  Dataset ref_probe = reference::Repartition(CopyDataset(probe_in),
-                                             probe_keys, cluster, &ref_metrics);
+  Dataset ref_build = reference::Repartition(Dataset(build_in), build_keys,
+                                             cluster, &ref_metrics);
+  Dataset ref_probe = reference::Repartition(Dataset(probe_in), probe_keys,
+                                             cluster, &ref_metrics);
   Dataset ref_out =
       reference::LocalHashJoin(ref_build, ref_probe, build_keys, probe_keys,
                                cluster, &ref_metrics);
 
   // The shuffle must place the same rows in the same partitions in the same
-  // order (phase-2 merge runs in source order), and precomputed hashes must
-  // match a fresh HashRowKey.
-  ASSERT_EQ(build_parts.data.partitions.size(),
-            ref_build.partitions.size());
+  // order (phase-2 gather runs in source order), and precomputed hashes
+  // must match a fresh HashRowKey.
+  ASSERT_EQ(build_parts.partitions.size(), ref_build.partitions.size());
   for (size_t p = 0; p < ref_build.partitions.size(); ++p) {
-    EXPECT_EQ(build_parts.data.partitions[p], ref_build.partitions[p])
+    EXPECT_EQ(build_parts.partitions[p], ref_build.partitions[p])
         << "build shuffle partition " << p;
-    ASSERT_EQ(build_parts.hashes[p].size(),
-              build_parts.data.partitions[p].size());
-    for (size_t i = 0; i < build_parts.hashes[p].size(); ++i) {
-      EXPECT_EQ(build_parts.hashes[p][i],
-                HashRowKey(build_parts.data.partitions[p][i], build_keys));
+    ASSERT_EQ(build_shuffled.hashes[p].size(),
+              build_parts.partitions[p].size());
+    for (size_t i = 0; i < build_shuffled.hashes[p].size(); ++i) {
+      EXPECT_EQ(build_shuffled.hashes[p][i],
+                HashRowKey(build_parts.partitions[p][i], build_keys));
     }
   }
   for (size_t p = 0; p < ref_probe.partitions.size(); ++p) {
-    EXPECT_EQ(probe_parts.data.partitions[p], ref_probe.partitions[p])
+    EXPECT_EQ(probe_parts.partitions[p], ref_probe.partitions[p])
         << "probe shuffle partition " << p;
   }
 
@@ -144,9 +158,7 @@ void ExpectPipelineParityWith(JobExecutor executor,
   // the join derives its output's sizes from the parents'; every annotation
   // must equal a fresh RowSizeBytes of the annotated row (the shuffle's
   // network metering is summed from these).
-  for (const Dataset* annotated :
-       {&build_parts.data, &probe_parts.data, &par_out}) {
-    if (annotated->row_sizes.empty()) continue;
+  for (const Dataset* annotated : {&build_parts, &probe_parts, &par_out}) {
     ASSERT_TRUE(annotated->HasRowSizes());
     for (size_t p = 0; p < annotated->partitions.size(); ++p) {
       for (size_t i = 0; i < annotated->partitions[p].size(); ++i) {
@@ -263,8 +275,8 @@ TEST_F(ExchangeTest, CoPartitionedInputShufflesNoBytes) {
   }
   JobExecutor executor = MakeExecutor();
   ExecMetrics metrics;
-  ShuffleResult shuffled =
-      MustOk(executor.Repartition(CopyDataset(placed), keys, &metrics));
+  ColumnarShuffleResult shuffled =
+      MustOk(executor.RepartitionColumnar(ToColumnar(placed), keys, &metrics));
   EXPECT_EQ(metrics.bytes_shuffled, 0u);
   EXPECT_EQ(shuffled.data.NumRows(), 300u);
 }
@@ -279,22 +291,24 @@ TEST_F(ExchangeTest, AllRowsOneKeyLandInOnePartition) {
   std::vector<int> keys = {0};
   JobExecutor executor = MakeExecutor();
   ExecMetrics par_metrics, ref_metrics;
-  ShuffleResult par =
-      MustOk(executor.Repartition(CopyDataset(data), keys, &par_metrics));
-  Dataset ref = reference::Repartition(CopyDataset(data), keys, cluster(),
-                                       &ref_metrics);
+  Dataset par = ToDataset(
+      MustOk(executor.RepartitionColumnar(ToColumnar(data), keys,
+                                          &par_metrics))
+          .data);
+  Dataset ref =
+      reference::Repartition(Dataset(data), keys, cluster(), &ref_metrics);
   size_t non_empty = 0;
-  for (size_t p = 0; p < par.data.partitions.size(); ++p) {
-    EXPECT_EQ(par.data.partitions[p], ref.partitions[p]);
-    if (!par.data.partitions[p].empty()) ++non_empty;
+  for (size_t p = 0; p < par.partitions.size(); ++p) {
+    EXPECT_EQ(par.partitions[p], ref.partitions[p]);
+    if (!par.partitions[p].empty()) ++non_empty;
   }
   EXPECT_EQ(non_empty, 1u);
   EXPECT_EQ(par_metrics.simulated_seconds, ref_metrics.simulated_seconds);
 }
 
 TEST_F(ExchangeTest, BroadcastStyleJoinWithoutPrecomputedHashes) {
-  // LocalHashJoin must also be correct when no hashes are threaded in (the
-  // broadcast-join path).
+  // LocalHashJoinColumnar must also be correct when no hashes are threaded
+  // in (the broadcast-join path).
   DatasetSpec bspec;
   bspec.rows = 150;
   bspec.num_partitions = 4;
@@ -304,12 +318,12 @@ TEST_F(ExchangeTest, BroadcastStyleJoinWithoutPrecomputedHashes) {
   pspec.seed = 22;
   Dataset build = MakeDataset(bspec);
   Dataset probe = MakeDataset(pspec);
-  // Align partition counts (LocalHashJoin joins partition-wise).
+  // Align partition counts (the local join is partition-wise).
   std::vector<int> keys = {0};
   JobExecutor executor = MakeExecutor();
   ExecMetrics par_metrics, ref_metrics;
-  Dataset par_out = MustOk(executor.LocalHashJoin(build, probe, keys, keys,
-                                                  &par_metrics));
+  const Dataset par_out = ToDataset(MustOk(executor.LocalHashJoinColumnar(
+      ToColumnar(build), ToColumnar(probe), keys, keys, &par_metrics)));
   Dataset ref_out = reference::LocalHashJoin(build, probe, keys, keys,
                                              cluster(), &ref_metrics);
   for (size_t p = 0; p < ref_out.partitions.size(); ++p) {
@@ -333,8 +347,8 @@ TEST_F(ExchangeTest, DuplicateKeysEmitAllMatchesInBuildOrder)
   std::vector<int> keys = {0};
   JobExecutor executor = MakeExecutor();
   ExecMetrics par_metrics, ref_metrics;
-  Dataset par_out = MustOk(executor.LocalHashJoin(build, probe, keys, keys,
-                                                  &par_metrics));
+  const Dataset par_out = ToDataset(MustOk(executor.LocalHashJoinColumnar(
+      ToColumnar(build), ToColumnar(probe), keys, keys, &par_metrics)));
   Dataset ref_out = reference::LocalHashJoin(build, probe, keys, keys,
                                              cluster(), &ref_metrics);
   ASSERT_EQ(par_out.NumRows(), 10u);
@@ -349,10 +363,11 @@ TEST_F(ExchangeTest, DuplicateKeysEmitAllMatchesInBuildOrder)
 }
 
 TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
-  // When the producer attached per-row sizes, the shuffle meters from the
-  // annotation instead of re-walking payloads — the resulting bytes and
-  // simulated seconds must be bit-identical to the reference (which always
-  // recomputes), on both routes of the adaptive exchange.
+  // The shuffle meters from the batches' per-row size annotation (here
+  // carried over from the row producer's) instead of re-walking payloads —
+  // the resulting bytes and simulated seconds must be bit-identical to the
+  // reference (which always recomputes), on both routes of the adaptive
+  // exchange.
   Dataset input = MakeDataset({.num_partitions = 7, .rows = 400,
                                .key_domain = 23, .null_fraction = 0.1});
   input.row_sizes.resize(input.partitions.size());
@@ -363,26 +378,27 @@ TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
   }
   std::vector<int> keys = {0};
   ExecMetrics ref_metrics;
-  Dataset ref = reference::Repartition(CopyDataset(input), keys, cluster(),
-                                       &ref_metrics);
+  Dataset ref =
+      reference::Repartition(Dataset(input), keys, cluster(), &ref_metrics);
   ThreadPool pool3(3);
   JobExecutor scatter(&engine_->catalog(), &engine_->stats(),
                       &engine_->udfs(), engine_->cluster(), &pool3);
   JobExecutor onepass = MakeExecutor();
   for (JobExecutor* executor : {&onepass, &scatter}) {
     ExecMetrics par_metrics;
-    ShuffleResult parts = MustOk(
-        executor->Repartition(CopyDataset(input), keys, &par_metrics));
+    Dataset parts = ToDataset(
+        MustOk(executor->RepartitionColumnar(ToColumnar(input), keys,
+                                             &par_metrics))
+            .data);
     for (size_t p = 0; p < ref.partitions.size(); ++p) {
-      EXPECT_EQ(parts.data.partitions[p], ref.partitions[p]);
+      EXPECT_EQ(parts.partitions[p], ref.partitions[p]);
     }
     EXPECT_EQ(par_metrics.bytes_shuffled, ref_metrics.bytes_shuffled);
     EXPECT_EQ(par_metrics.simulated_seconds, ref_metrics.simulated_seconds);
-    ASSERT_TRUE(parts.data.HasRowSizes());
-    for (size_t p = 0; p < parts.data.partitions.size(); ++p) {
-      for (size_t i = 0; i < parts.data.partitions[p].size(); ++i) {
-        EXPECT_EQ(parts.data.row_sizes[p][i],
-                  RowSizeBytes(parts.data.partitions[p][i]));
+    ASSERT_TRUE(parts.HasRowSizes());
+    for (size_t p = 0; p < parts.partitions.size(); ++p) {
+      for (size_t i = 0; i < parts.partitions[p].size(); ++i) {
+        EXPECT_EQ(parts.row_sizes[p][i], RowSizeBytes(parts.partitions[p][i]));
       }
     }
   }
@@ -486,8 +502,8 @@ TEST(ThreadPoolStressTest, RepartitionFromWithinPool) {
     Dataset data = MakeDataset(spec);
     JobExecutor executor = engine.MakeExecutor();
     ExecMetrics metrics;
-    ShuffleResult out =
-        MustOk(executor.Repartition(std::move(data), {0}, &metrics));
+    ColumnarShuffleResult out =
+        MustOk(executor.RepartitionColumnar(ToColumnar(data), {0}, &metrics));
     if (out.data.NumRows() == 200) done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 3);

@@ -151,6 +151,32 @@ TEST(ParserTest, Errors) {
             StatusCode::kParseError);  // Expressions in SELECT unsupported.
 }
 
+TEST(ParserTest, OutOfRangeLiteralsAreParseErrors) {
+  // Literals that do not fit int64 / double come back as a ParseError
+  // instead of throwing out of the parser.
+  const std::vector<std::string> queries = {
+      "SELECT o.o_orderkey FROM orders o "
+      "WHERE o.o_orderkey = 99999999999999999999999",
+      "SELECT o.o_orderkey FROM orders o LIMIT 99999999999999999999",
+      "SELECT o.o_orderkey FROM orders o WHERE o.o_totalprice < 1e999",
+      "SELECT o.o_orderkey FROM orders o WHERE o.o_totalprice < " +
+          std::string(400, '9') + ".5"};
+  for (const std::string& sql : queries) {
+    auto stmt = ParseSelect(sql);
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError) << sql;
+  }
+  auto bad = ParseSelect(
+      "SELECT o.o_orderkey FROM orders o LIMIT 99999999999999999999");
+  EXPECT_NE(bad.status().message().find("out of range"), std::string::npos)
+      << bad.status().message();
+  // The extremes that do fit still parse.
+  auto max = ParseSelect(
+      "SELECT o.o_orderkey FROM orders o "
+      "WHERE o.o_orderkey = 9223372036854775807 LIMIT 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->limit, 9223372036854775807LL);
+}
+
 // --- Binder -------------------------------------------------------------------
 
 class BinderTest : public ::testing::Test {
