@@ -290,7 +290,8 @@ RateSweepRow MeasureRate(Engine* engine, const Reference& ref,
   record.wall_seconds = result->wall_seconds;
   record.reopt_seconds = result->metrics.reopt_seconds;
   record.stats_seconds = result->metrics.stats_seconds;
-  SetWallBreakdown(&record, result->metrics, result->profile.get());
+  record.metrics = result->metrics;
+  SetQErrorHistogram(&record, result->profile.get());
   record.rows = result->rows.size();
   AddRecord(std::move(record));
   return row;

@@ -77,7 +77,8 @@ void AppendCellRecord(const Cell& cell, const OptimizerRunResult& result) {
   record.sim_seconds = result.metrics.simulated_seconds;
   record.reopt_seconds = result.metrics.reopt_seconds;
   record.stats_seconds = result.metrics.stats_seconds;
-  SetWallBreakdown(&record, result.metrics, result.profile.get());
+  record.metrics = result.metrics;
+  SetQErrorHistogram(&record, result.profile.get());
   record.rows = result.rows.size();
   record.plan = result.join_tree != nullptr ? result.join_tree->ToString() : "";
   AddRecord(std::move(record));

@@ -50,7 +50,8 @@ void RunCase(benchmark::State& state, const std::string& query,
     record.reopt_seconds = reopt;
     record.stats_seconds = stats;
     record.wall_seconds = result->wall_seconds;
-    SetWallBreakdown(&record, result->metrics, result->profile.get());
+    record.metrics = result->metrics;
+    SetQErrorHistogram(&record, result->profile.get());
     AddRecord(std::move(record));
   }
 }

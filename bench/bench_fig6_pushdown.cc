@@ -61,7 +61,8 @@ void RunCase(benchmark::State& state, const std::string& query, int paper_sf,
       record.paper_sf = paper_sf;
       record.optimizer = "predicate-push-down";
       record.sim_seconds = total;
-      SetWallBreakdown(&record, result->metrics, result->profile.get());
+      record.metrics = result->metrics;
+      SetQErrorHistogram(&record, result->profile.get());
       AddRecord(std::move(record));
     }
     state.SetIterationTime(total);

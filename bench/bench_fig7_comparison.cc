@@ -43,7 +43,8 @@ void RunCase(benchmark::State& state, const std::string& query, int paper_sf,
     record.optimizer = optimizer;
     record.sim_seconds = result->metrics.simulated_seconds;
     record.wall_seconds = result->wall_seconds;
-    SetWallBreakdown(&record, result->metrics, result->profile.get());
+    record.metrics = result->metrics;
+    SetQErrorHistogram(&record, result->profile.get());
     record.rows = result->rows.size();
     record.plan =
         result->join_tree != nullptr ? result->join_tree->ToString() : "";

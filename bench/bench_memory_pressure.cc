@@ -196,7 +196,8 @@ int Main(int argc, char** argv) {
         record.wall_seconds = result->wall_seconds;
         record.reopt_seconds = result->metrics.reopt_seconds;
         record.stats_seconds = result->metrics.stats_seconds;
-        SetWallBreakdown(&record, result->metrics, result->profile.get());
+        record.metrics = result->metrics;
+        SetQErrorHistogram(&record, result->profile.get());
         record.rows = result->rows.size();
         AddRecord(std::move(record));
       }
@@ -213,9 +214,9 @@ int Main(int argc, char** argv) {
     row.optimizer = r.optimizer;
     row.budget_bytes = std::strtoull(r.figure.c_str() + 7, nullptr, 10);
     row.sim_seconds = r.sim_seconds;
-    row.spilled_bytes = r.spilled_bytes;
-    row.spill_partitions = r.spill_partitions;
-    row.peak_memory_bytes = r.peak_memory_bytes;
+    row.spilled_bytes = r.metrics.spilled_bytes;
+    row.spill_partitions = r.metrics.spill_partitions;
+    row.peak_memory_bytes = r.metrics.peak_memory_bytes;
     sweep_rows.push_back(std::move(row));
   }
 

@@ -78,7 +78,8 @@ Cell MakeCell(const std::string& section, const std::string& config,
   record.sim_seconds = result.metrics.simulated_seconds;
   record.reopt_seconds = result.metrics.reopt_seconds;
   record.stats_seconds = result.metrics.stats_seconds;
-  SetWallBreakdown(&record, result.metrics, result.profile.get());
+  record.metrics = result.metrics;
+  SetQErrorHistogram(&record, result.profile.get());
   record.rows = result.rows.size();
   record.plan = cell.plan;
   AddRecord(std::move(record));

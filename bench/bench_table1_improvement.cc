@@ -32,7 +32,8 @@ void RunCase(benchmark::State& state, const std::string& query, int paper_sf,
     record.paper_sf = paper_sf;
     record.optimizer = optimizer;
     record.sim_seconds = result->metrics.simulated_seconds;
-    SetWallBreakdown(&record, result->metrics, result->profile.get());
+    record.metrics = result->metrics;
+    SetQErrorHistogram(&record, result->profile.get());
     AddRecord(std::move(record));
   }
 }

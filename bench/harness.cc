@@ -163,27 +163,7 @@ Result<OptimizerRunResult> RunStrategy(Engine* engine, int paper_sf,
   return Status::InvalidArgument("unknown optimizer " + optimizer_name);
 }
 
-void SetWallBreakdown(Record* record, const ExecMetrics& metrics,
-                      const QueryProfile* profile) {
-  record->wall_shuffle_seconds = metrics.wall_shuffle_seconds;
-  record->wall_build_seconds = metrics.wall_build_seconds;
-  record->wall_probe_seconds = metrics.wall_probe_seconds;
-  record->wall_materialize_seconds = metrics.wall_materialize_seconds;
-  record->recovery_seconds = metrics.recovery_seconds;
-  record->num_retries = metrics.num_retries;
-  record->speculative_executions = metrics.speculative_executions;
-  record->corrupted_blocks = metrics.corrupted_blocks;
-  record->peak_memory_bytes = metrics.peak_memory_bytes;
-  record->spilled_bytes = metrics.spilled_bytes;
-  record->spill_partitions = metrics.spill_partitions;
-  record->queue_wait_seconds = metrics.queue_wait_seconds;
-  record->max_q_error = metrics.max_q_error;
-  record->num_decisions = metrics.num_decisions;
-  record->error_reopt_triggers = metrics.error_reopt_triggers;
-  record->bytes_shuffled = metrics.bytes_shuffled;
-  record->pt_filter_bytes = metrics.pt_filter_bytes;
-  record->pt_pruned_rows = metrics.pt_pruned_rows;
-  record->pt_pruned_bytes = metrics.pt_pruned_bytes;
+void SetQErrorHistogram(Record* record, const QueryProfile* profile) {
   record->q_error_log2.assign(16, 0);
   if (profile != nullptr) {
     for (const auto& d : profile->decisions.decisions()) {
@@ -240,6 +220,7 @@ std::string RecordsToJson() {
   os << "[";
   bool first = true;
   for (const auto& r : Records()) {
+    const ExecMetrics& m = r.metrics;
     os << (first ? "\n" : ",\n") << "    {"
        << "\"figure\": \"" << JsonEscape(r.figure) << "\", "
        << "\"query\": \"" << JsonEscape(r.query) << "\", "
@@ -249,25 +230,25 @@ std::string RecordsToJson() {
        << "\"wall_seconds\": " << r.wall_seconds << ", "
        << "\"reopt_seconds\": " << r.reopt_seconds << ", "
        << "\"stats_seconds\": " << r.stats_seconds << ", "
-       << "\"wall_shuffle_s\": " << r.wall_shuffle_seconds << ", "
-       << "\"wall_build_s\": " << r.wall_build_seconds << ", "
-       << "\"wall_probe_s\": " << r.wall_probe_seconds << ", "
-       << "\"wall_materialize_s\": " << r.wall_materialize_seconds << ", "
-       << "\"recovery_seconds\": " << r.recovery_seconds << ", "
-       << "\"num_retries\": " << r.num_retries << ", "
-       << "\"speculative_executions\": " << r.speculative_executions << ", "
-       << "\"corrupted_blocks\": " << r.corrupted_blocks << ", "
-       << "\"peak_memory_bytes\": " << r.peak_memory_bytes << ", "
-       << "\"spilled_bytes\": " << r.spilled_bytes << ", "
-       << "\"spill_partitions\": " << r.spill_partitions << ", "
-       << "\"queue_wait_seconds\": " << r.queue_wait_seconds << ", "
-       << "\"max_q_error\": " << r.max_q_error << ", "
-       << "\"num_decisions\": " << r.num_decisions << ", "
-       << "\"error_reopt_triggers\": " << r.error_reopt_triggers << ", "
-       << "\"bytes_shuffled\": " << r.bytes_shuffled << ", "
-       << "\"pt_filter_bytes\": " << r.pt_filter_bytes << ", "
-       << "\"pt_pruned_rows\": " << r.pt_pruned_rows << ", "
-       << "\"pt_pruned_bytes\": " << r.pt_pruned_bytes << ", "
+       << "\"wall_shuffle_s\": " << m.wall_shuffle_seconds << ", "
+       << "\"wall_build_s\": " << m.wall_build_seconds << ", "
+       << "\"wall_probe_s\": " << m.wall_probe_seconds << ", "
+       << "\"wall_materialize_s\": " << m.wall_materialize_seconds << ", "
+       << "\"recovery_seconds\": " << m.recovery_seconds << ", "
+       << "\"num_retries\": " << m.num_retries << ", "
+       << "\"speculative_executions\": " << m.speculative_executions << ", "
+       << "\"corrupted_blocks\": " << m.corrupted_blocks << ", "
+       << "\"peak_memory_bytes\": " << m.peak_memory_bytes << ", "
+       << "\"spilled_bytes\": " << m.spilled_bytes << ", "
+       << "\"spill_partitions\": " << m.spill_partitions << ", "
+       << "\"queue_wait_seconds\": " << m.queue_wait_seconds << ", "
+       << "\"max_q_error\": " << m.max_q_error << ", "
+       << "\"num_decisions\": " << m.num_decisions << ", "
+       << "\"error_reopt_triggers\": " << m.error_reopt_triggers << ", "
+       << "\"bytes_shuffled\": " << m.bytes_shuffled << ", "
+       << "\"pt_filter_bytes\": " << m.pt_filter_bytes << ", "
+       << "\"pt_pruned_rows\": " << m.pt_pruned_rows << ", "
+       << "\"pt_pruned_bytes\": " << m.pt_pruned_bytes << ", "
        << "\"q_error_log2\": [";
     for (size_t i = 0; i < r.q_error_log2.size(); ++i) {
       os << (i == 0 ? "" : ", ") << r.q_error_log2[i];
@@ -346,9 +327,10 @@ void PrintFigureTable(const std::string& figure) {
   // execution cost, orthogonal to the simulated seconds plotted above.
   bool any_wall = false;
   for (const auto& r : records) {
+    const ExecMetrics& m = r.metrics;
     if (r.figure == figure &&
-        (r.wall_shuffle_seconds > 0 || r.wall_build_seconds > 0 ||
-         r.wall_probe_seconds > 0 || r.wall_materialize_seconds > 0)) {
+        (m.wall_shuffle_seconds > 0 || m.wall_build_seconds > 0 ||
+         m.wall_probe_seconds > 0 || m.wall_materialize_seconds > 0)) {
       any_wall = true;
       break;
     }
@@ -361,8 +343,9 @@ void PrintFigureTable(const std::string& figure) {
           "%s sf=%d %s: shuffle=%.4f build=%.4f probe=%.4f "
           "materialize=%.4f wall_total=%.4f\n",
           r.query.c_str(), r.paper_sf, r.optimizer.c_str(),
-          r.wall_shuffle_seconds, r.wall_build_seconds, r.wall_probe_seconds,
-          r.wall_materialize_seconds, r.wall_seconds);
+          r.metrics.wall_shuffle_seconds, r.metrics.wall_build_seconds,
+          r.metrics.wall_probe_seconds, r.metrics.wall_materialize_seconds,
+          r.wall_seconds);
     }
   }
 }

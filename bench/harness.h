@@ -55,38 +55,10 @@ struct Record {
   double wall_seconds = 0;
   double reopt_seconds = 0;
   double stats_seconds = 0;
-  // Host wall-clock per operator class (ExecMetrics::wall_*_seconds):
-  // real time inside the physical kernels, independent of the simulated
-  // cost model above.
-  double wall_shuffle_seconds = 0;
-  double wall_build_seconds = 0;
-  double wall_probe_seconds = 0;
-  double wall_materialize_seconds = 0;
-  // Fault-injection outcomes (ExecMetrics fault counters); all zero when
-  // injection is disarmed.
-  double recovery_seconds = 0;
-  uint64_t num_retries = 0;
-  uint64_t speculative_executions = 0;
-  uint64_t corrupted_blocks = 0;
-  // Memory-governance outcomes (ExecMetrics memory counters); all zero
-  // when no QueryContext / join budget is configured.
-  uint64_t peak_memory_bytes = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_partitions = 0;
-  double queue_wait_seconds = 0;
-  // Optimizer decision telemetry (ExecMetrics::max_q_error/num_decisions):
-  // the worst estimate-vs-actual ratio across this run's logged decisions.
-  double max_q_error = 0;
-  uint64_t num_decisions = 0;
-  // Extra re-optimization checkpoints bought by the error feedback loop
-  // (ExecMetrics::error_reopt_triggers; 0 at default knobs).
-  uint64_t error_reopt_triggers = 0;
-  // Exchange volume and predicate-transfer outcomes (ExecMetrics
-  // counters); pt_* are all zero unless enable_predicate_transfer is on.
-  uint64_t bytes_shuffled = 0;
-  uint64_t pt_filter_bytes = 0;
-  uint64_t pt_pruned_rows = 0;
-  uint64_t pt_pruned_bytes = 0;
+  /// The run's counters: per-operator-class host wall clocks, fault,
+  /// memory-governance, decision and exchange counters. All zero when the
+  /// bench records no run.
+  ExecMetrics metrics;
   // Log2-bucketed histogram of rounded per-decision q-errors: bucket 0 =
   // [1,2), bucket i = [2^i, 2^(i+1)), last bucket open-ended. All zero
   // when no profile was attached to the run.
@@ -95,12 +67,9 @@ struct Record {
   std::string plan;
 };
 
-/// Copies the per-operator-class wall clocks, the fault counters, the
-/// memory-governance counters and the decision telemetry out of `metrics`
-/// into `record`. A non-null `profile` additionally fills the per-decision
-/// q-error histogram (`q_error_log2`).
-void SetWallBreakdown(Record* record, const ExecMetrics& metrics,
-                      const QueryProfile* profile = nullptr);
+/// Fills `record->q_error_log2` from the per-decision q-errors of
+/// `profile` (all zero for a null profile).
+void SetQErrorHistogram(Record* record, const QueryProfile* profile);
 
 void AddRecord(Record record);
 const std::vector<Record>& Records();

@@ -25,10 +25,9 @@ namespace dynopt {
 ///
 ///  - Each waiter belongs to the priority class of its QueryContext
 ///    (kNormal with no context). Free slots are granted by smooth weighted
-///    round-robin across the non-empty classes
-///    (AdmissionConfig::class_weights), FIFO within a class — so under
-///    sustained overload, slot share is proportional to weight while no
-///    class starves. A workload that never sets priorities occupies one
+///    round-robin across the non-empty classes (kClassWeights), FIFO
+///    within a class — so under sustained overload, slot share is
+///    proportional to weight while no class starves. A workload that never sets priorities occupies one
 ///    class and is served in exact FIFO arrival order, the pre-priority
 ///    behavior.
 ///  - Reservations are sized from the query's optimizer estimate
@@ -219,6 +218,13 @@ class AdmissionController {
  private:
   using Clock = std::chrono::steady_clock;
   static constexpr std::chrono::milliseconds kCancelPollSlice{5};
+  /// Relative slot share of each QueryPriority class (low, normal, high):
+  /// under sustained overload class i receives weight[i] / sum(non-empty
+  /// weights) of the slots, while lighter classes still make progress.
+  static constexpr double kClassWeights[kNumQueryPriorities] = {1.0, 2.0,
+                                                                4.0};
+  /// Reservation multiplier applied to a degraded query.
+  static constexpr double kDegradeMemoryFraction = 0.5;
 
   struct Waiter {
     uint64_t seq = 0;
@@ -281,7 +287,7 @@ class AdmissionController {
       if (degrade && bytes > 0) {
         bytes = std::max<uint64_t>(
             1, static_cast<uint64_t>(static_cast<double>(bytes) *
-                                     config_.degrade_memory_fraction));
+                                     kDegradeMemoryFraction));
       }
 
       MemoryReservation reservation(engine_memory_);
@@ -323,8 +329,8 @@ class AdmissionController {
     double total = 0;
     for (int i = 0; i < kNumQueryPriorities; ++i) {
       if (classes_[i].empty()) continue;
-      wrr_current_[i] += config_.class_weights[i];
-      total += config_.class_weights[i];
+      wrr_current_[i] += kClassWeights[i];
+      total += kClassWeights[i];
       if (best < 0 || wrr_current_[i] > best_current) {
         best = i;
         best_current = wrr_current_[i];

@@ -35,10 +35,6 @@ struct FaultInjectionConfig {
   /// time by straggler_multiplier.
   double straggler_probability = 0.0;
   double straggler_multiplier = 4.0;
-  /// A task slower than this multiple of the stage's median task time gets
-  /// a speculative backup execution; the faster of the two completions
-  /// wins (mitigates stragglers the scheduler cannot predict).
-  double speculation_threshold = 3.0;
 
   /// Probability that a materialized partition file is corrupted (one byte
   /// flipped) before read-back; the serde checksum detects it and the
@@ -47,11 +43,10 @@ struct FaultInjectionConfig {
 
   /// Whole-query failure injection: the query aborts with kTransient when
   /// kernel stage `fail_query_at_stage` (0-based, counted across the whole
-  /// engine lifetime since arming) executes. Negative disables. At most
-  /// `max_query_failures` aborts fire, so a retried/resumed query makes
-  /// progress instead of re-failing forever.
+  /// engine lifetime since arming) executes. Negative disables. The abort
+  /// fires once per arming, so a retried/resumed query makes progress
+  /// instead of re-failing forever.
   int fail_query_at_stage = -1;
-  int max_query_failures = 1;
 };
 
 /// Memory-governance knobs: budgets for the hierarchical MemoryTracker and
@@ -71,14 +66,16 @@ struct MemoryGovernanceConfig {
   /// partitioned to checksummed spill files under `spill_directory` and
   /// joined recursively, replacing the flat spill_penalty_passes charge.
   uint64_t join_memory_budget_bytes = 0;
-  /// Recursion depth cap for grace-join sub-partitioning. A sub-partition
-  /// still over budget at this depth joins in memory anyway (accounted as
-  /// over-subscription, never refused) — a single query must always
-  /// complete.
-  int max_spill_recursion = 4;
-  /// Sub-partitions per spill pass (fan-out of each recursive split).
-  int max_spill_fanout = 32;
 };
+
+/// Shape of the grace hash join, fixed like AsterixDB's: each spill pass
+/// splits an overflowing partition kSpillFanout ways, and a sub-partition
+/// still over budget at depth kMaxSpillRecursion joins in memory anyway
+/// (accounted as over-subscription, never refused) — a single query must
+/// always complete. The executor and the spill-aware cost model both read
+/// these, so the predicted spill passes match the executed ones.
+inline constexpr int kSpillFanout = 32;
+inline constexpr int kMaxSpillRecursion = 4;
 
 /// Execution-engine knobs independent of the simulated cost model. These
 /// change *how* operators run, never *what* they meter: with any valid
@@ -109,17 +106,6 @@ struct AdmissionConfig {
   /// kResourceExhausted.
   double queue_timeout_seconds = 10.0;
 
-  // --- Priority classes + weighted-fair slot scheduling -----------------
-
-  /// Relative slot share of each QueryPriority class (indexed by the enum:
-  /// low, normal, high). Free slots are granted by smooth weighted
-  /// round-robin across the non-empty classes, so under sustained overload
-  /// class i receives weight[i]/sum(non-empty weights) of the slots while
-  /// lighter classes still make progress (no starvation). Within a class,
-  /// order is FIFO. With every query in one class (the default — nobody
-  /// sets a priority) this degenerates to plain FIFO.
-  double class_weights[kNumQueryPriorities] = {1.0, 2.0, 4.0};
-
   // --- Adaptive load shedding ------------------------------------------
 
   /// Master switch for the shedder; off by default (queues grow to
@@ -139,11 +125,9 @@ struct AdmissionConfig {
 
   /// Queue-depth watermark above which admitted queries are degraded
   /// instead of queued ones being refused: their memory reservation (and
-  /// query budget) is multiplied by degrade_memory_fraction, trading spill
-  /// I/O for admission headroom. 0 disables degradation.
+  /// query budget) is halved, trading spill I/O for admission headroom.
+  /// 0 disables degradation.
   int degrade_queue_depth = 0;
-  /// Reservation multiplier applied when degrading (in (0, 1]).
-  double degrade_memory_fraction = 0.5;
   /// Also stamp strategy_downgraded on degraded queries' contexts: the
   /// caller-side hook (ApplyStrategyDowngrade, opt/degrade.h) then swaps a
   /// dynamic re-optimizing strategy for a cheap static plan, shedding the
@@ -160,26 +144,18 @@ struct RiskConfig {
   /// a join whose estimated build side exceeds the per-node budget is priced
   /// with the grace-hash spill passes the executor will actually pay
   /// (write+read each overflowing pass, recursive re-partitioning up to
-  /// memory.max_spill_recursion), so join-order, build-side and
+  /// kMaxSpillRecursion), so join-order, build-side and
   /// broadcast-vs-shuffle choices see the true cost.
   bool spill_aware_costing = false;
 
   /// Consume the decision log's back-patched q-errors at every
   /// re-optimization point (dynamic / ingres-like / pilot-run): observed
   /// estimation error widens the selectivity confidence interval used for
-  /// the remaining decisions (pessimistic-bound costing) and, above
-  /// qerror_reopt_threshold, triggers an extra re-optimization checkpoint.
+  /// the remaining decisions (pessimistic-bound costing, capped at
+  /// kMaxCiWidening in opt/error_stats.h) and, above
+  /// DynamicOptimizer::kErrorReoptQError, triggers an extra
+  /// re-optimization checkpoint.
   bool error_feedback = false;
-  /// Worst observed within-query q-error above which an extra reopt point
-  /// is inserted where the plan would otherwise go static.
-  double qerror_reopt_threshold = 4.0;
-  /// Cap on error-triggered extra reopt rounds per query (each one costs a
-  /// materialization, so unbounded triggering could thrash).
-  int max_extra_reopts = 2;
-  /// Cap on the confidence-interval widening factor applied to uncertain
-  /// cardinalities (both from within-query feedback and from stored
-  /// priors); 1.0 disables widening even with error_feedback on.
-  double max_ci_widening = 8.0;
 
   /// Consult/record the persistent cross-query ErrorStatsStore
   /// (opt/error_stats.h): per-table/per-predicate q-error aggregates give
@@ -190,9 +166,6 @@ struct RiskConfig {
   /// File the store loads at arm time and saves to (atomic tmp+rename).
   /// Empty = in-memory only.
   std::string error_stats_path;
-  /// Bound on distinct (table/predicate/join) keys the store retains; new
-  /// keys beyond the bound are dropped (counted, never an error).
-  size_t error_store_max_entries = 4096;
 };
 
 /// Predicate-transfer / sketch knobs (stats/sketch.h). Everything is off by
@@ -211,14 +184,6 @@ struct SketchConfig {
   /// (ValidateClusterConfig): below 1 the filter saturates instantly, above
   /// 64 it would out-weigh the data it prunes.
   double pt_bits_per_key = 8.0;
-  /// Fast-AGMS rows (median over rows controls variance). Must be in
-  /// [1, 64].
-  size_t agms_depth = 5;
-  /// Fast-AGMS counters per row. Must be in [1, 1 << 20].
-  size_t agms_width = 256;
-  /// Seed of every sketch hash; sketches are deterministic and mergeable
-  /// only across builders sharing a seed.
-  uint64_t seed = 0x5eed5eedULL;
 };
 
 /// Introspection-plane knobs (opt/profile_archive.h, src/sys/). Off by
@@ -342,7 +307,7 @@ struct ClusterConfig {
   /// Risk-aware planning: spill-aware costing, q-error feedback loops and
   /// the cross-query error store (all off by default).
   RiskConfig risk;
-  /// Vectorized-execution knobs (batch size, columnar on/off).
+  /// Vectorized-execution knobs (batch size).
   ExecOptions exec;
   /// Predicate transfer + join-key sketches (off by default).
   SketchConfig sketch;
@@ -351,11 +316,12 @@ struct ClusterConfig {
   IntrospectionConfig introspection;
 };
 
-/// Structural validation of a ClusterConfig, run when an Engine or
-/// JobExecutor is constructed (i.e. at config "parse" time, before any
-/// kernel touches the values). Returns kInvalidArgument with a message
-/// naming the offending knob — a zero max_batch_size would otherwise
-/// silently underflow the batch-capacity math deep inside a kernel.
+/// Structural validation of a ClusterConfig, run when a JobExecutor is
+/// constructed (i.e. before any kernel touches the values); the executor
+/// returns a failure from every job it is asked to run. Returns
+/// kInvalidArgument with a message naming the offending knob — a zero
+/// max_batch_size would otherwise silently underflow the batch-capacity
+/// math deep inside a kernel.
 inline Status ValidateClusterConfig(const ClusterConfig& config) {
   if (config.num_nodes < 1) {
     return Status::InvalidArgument(
@@ -372,41 +338,10 @@ inline Status ValidateClusterConfig(const ClusterConfig& config) {
         std::to_string(config.admission.max_concurrent_queries) +
         "); zero slots would refuse every query");
   }
-  for (int i = 0; i < kNumQueryPriorities; ++i) {
-    if (config.admission.class_weights[i] <= 0) {
-      return Status::InvalidArgument(
-          "ClusterConfig.admission.class_weights[" + std::to_string(i) +
-          "] must be > 0; a zero-weight class would starve forever");
-    }
-  }
-  if (config.admission.degrade_memory_fraction <= 0 ||
-      config.admission.degrade_memory_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.admission.degrade_memory_fraction must be in (0, 1] "
-        "(got " +
-        std::to_string(config.admission.degrade_memory_fraction) + ")");
-  }
   if (config.watchdog.enabled && config.watchdog.poll_interval_seconds <= 0) {
     return Status::InvalidArgument(
         "ClusterConfig.watchdog.poll_interval_seconds must be > 0 when the "
         "watchdog is enabled");
-  }
-  if (config.risk.qerror_reopt_threshold < 1.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.risk.qerror_reopt_threshold must be >= 1 (got " +
-        std::to_string(config.risk.qerror_reopt_threshold) +
-        "); a q-error is never below 1, so a smaller threshold would "
-        "trigger an extra reopt on every query");
-  }
-  if (config.risk.max_extra_reopts < 0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.risk.max_extra_reopts must be >= 0");
-  }
-  if (config.risk.max_ci_widening < 1.0) {
-    return Status::InvalidArgument(
-        "ClusterConfig.risk.max_ci_widening must be >= 1 (got " +
-        std::to_string(config.risk.max_ci_widening) +
-        "); widening below 1 would make estimates *optimistic*");
   }
   if (config.sketch.pt_bits_per_key < 1.0 ||
       config.sketch.pt_bits_per_key > 64.0) {
@@ -415,21 +350,6 @@ inline Status ValidateClusterConfig(const ClusterConfig& config) {
         std::to_string(config.sketch.pt_bits_per_key) +
         "); below 1 the Bloom filter saturates instantly, above 64 the "
         "filter out-weighs the data it prunes");
-  }
-  if (config.sketch.agms_depth < 1 || config.sketch.agms_depth > 64) {
-    return Status::InvalidArgument(
-        "ClusterConfig.sketch.agms_depth must be in [1, 64] (got " +
-        std::to_string(config.sketch.agms_depth) +
-        "); the AGMS median needs at least one row and pays linearly for "
-        "each extra one");
-  }
-  if (config.sketch.agms_width < 1 ||
-      config.sketch.agms_width > (size_t{1} << 20)) {
-    return Status::InvalidArgument(
-        "ClusterConfig.sketch.agms_width must be in [1, 1048576] (got " +
-        std::to_string(config.sketch.agms_width) +
-        "); zero-width rows cannot count anything and oversized rows "
-        "out-weigh the statistics they replace");
   }
   if (config.introspection.enabled &&
       config.introspection.archive_capacity < 1) {

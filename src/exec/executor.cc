@@ -94,6 +94,11 @@ uint64_t MaxOver(const std::vector<uint64_t>& per_node) {
 
 using WallClock = std::chrono::steady_clock;
 
+/// A task slower than this multiple of its stage's median task time gets a
+/// speculative backup execution (mitigates stragglers the scheduler cannot
+/// predict).
+constexpr double kSpeculationThreshold = 3.0;
+
 double SecondsSince(WallClock::time_point start) {
   return std::chrono::duration<double>(WallClock::now() - start).count();
 }
@@ -106,7 +111,8 @@ JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
                          QueryContext* ctx, RetryBudget* retry_budget,
                          SketchManager* sketches,
                          MetricsRegistry* metrics_registry)
-    : catalog_(catalog),
+    : valid_(ValidateClusterConfig(cluster)),
+      catalog_(catalog),
       stats_(stats),
       udfs_(udfs),
       cluster_(cluster),
@@ -118,14 +124,6 @@ JobExecutor::JobExecutor(Catalog* catalog, StatsManager* stats,
       registry_(metrics_registry != nullptr ? metrics_registry
                                             : &MetricsRegistry::Global()) {
   DYNOPT_CHECK(catalog != nullptr && pool != nullptr);
-  // Config validation at construction time — a zero max_batch_size or node
-  // count would otherwise fail as an underflow deep inside a kernel.
-  const Status valid = ValidateClusterConfig(cluster_);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "dynopt: invalid ClusterConfig: %s\n",
-                 valid.message().c_str());
-    std::abort();
-  }
 }
 
 Status JobExecutor::ApplyFaults(FaultSite site,
@@ -205,12 +203,11 @@ Status JobExecutor::ApplyFaults(FaultSite site,
     }
     completion += task;
     // Speculative execution: a task projected to finish beyond
-    // `speculation_threshold` x the median launches a backup copy on a
+    // kSpeculationThreshold x the median launches a backup copy on a
     // healthy node. The backup starts once the slowness is observable (at
     // the median completion time) and runs clean, so it finishes at
     // median + base; the earlier of original and backup wins.
-    if (median > 0.0 && cfg.speculation_threshold > 0.0 &&
-        completion > cfg.speculation_threshold * median) {
+    if (median > 0.0 && completion > kSpeculationThreshold * median) {
       const double backup = median + base;
       if (backup < completion) {
         completion = backup;
@@ -256,6 +253,7 @@ bool ReadsOnlySystemTables(const PlanNode& node) {
 
 Result<JobResult> JobExecutor::Execute(
     const PlanNode& root, const std::map<std::string, Value>& params) {
+  DYNOPT_RETURN_IF_ERROR(valid_);
   TraceSpan span("job", "job");
   registry_->counter("exec.jobs")->Increment();
   JobResult result;
@@ -462,6 +460,7 @@ Result<ColumnarDataset> JobExecutor::ExecProject(
 Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
     ColumnarDataset&& input, const std::vector<int>& key_indices,
     ExecMetrics* metrics) {
+  DYNOPT_RETURN_IF_ERROR(valid_);
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   TraceSpan span("shuffle", "kernel");
   const auto wall_start = WallClock::now();
@@ -469,91 +468,6 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
   const size_t src_parts = input.partitions.size();
   const size_t batch_cap = cluster_.exec.max_batch_size;
   const size_t num_cols = input.columns.size();
-
-  auto fault_check = [&](const std::vector<uint64_t>& received_bytes,
-                         const std::vector<uint64_t>& rows_in) -> Status {
-    if (!FaultsArmed()) return Status::OK();
-    std::vector<double> per_node(std::max(received_bytes.size(),
-                                          rows_in.size()),
-                                 0.0);
-    for (size_t i = 0; i < received_bytes.size(); ++i) {
-      per_node[i] += static_cast<double>(received_bytes[i]) *
-                     cluster_.network_seconds_per_byte;
-    }
-    for (size_t i = 0; i < rows_in.size(); ++i) {
-      per_node[i] +=
-          static_cast<double>(rows_in[i]) * cluster_.cpu_seconds_per_tuple;
-    }
-    return ApplyFaults(FaultSite::kRepartition, per_node, metrics);
-  };
-
-  // Adaptive route: a pool without at least two workers cannot overlap
-  // anything, so the two-phase exchange below would pay n full re-scans of
-  // every source batch (one per destination) with nothing gained in return. The one-pass exchange hashes each batch,
-  // buckets its rows per destination and gathers them while the batch is
-  // still hot in cache. Row order, hashes and all metering are identical
-  // on both routes.
-  if (pool_->num_threads() <= 1) {
-    ColumnarShuffleResult result;
-    result.data = ColumnarDataset(input.columns, n);
-    result.hashes.resize(n);
-    std::vector<uint64_t> received_bytes(n, 0);
-    std::vector<uint64_t> rows_in(src_parts, 0);
-    uint64_t shuffled_bytes = 0;
-    uint64_t total_rows = 0;
-    const FastMod mod_n(n);
-    std::vector<BatchSink> sinks;
-    sinks.reserve(n);
-    for (size_t d = 0; d < n; ++d) {
-      sinks.emplace_back(num_cols, batch_cap, &result.data.partitions[d]);
-    }
-    std::vector<std::vector<uint32_t>> sel(n);
-    std::vector<uint64_t> hashes;
-    std::vector<uint8_t> null_scratch;
-    for (size_t p = 0; p < src_parts; ++p) {
-      uint64_t part_rows = 0;
-      for (ColumnBatch& b : input.partitions[p]) {
-        const size_t m = b.num_rows;
-        part_rows += m;
-        hashes.resize(m);
-        null_scratch.assign(m, 0);
-        HashKeyColumns(b, key_indices.data(), key_indices.size(),
-                       hashes.data(), null_scratch.data());
-        for (auto& s : sel) s.clear();
-        const uint64_t* sizes = b.row_sizes.data();
-        for (size_t i = 0; i < m; ++i) {
-          const size_t dest = static_cast<size_t>(mod_n(hashes[i]));
-          // A row already sitting on its destination node (co-partitioned
-          // input) moves no bytes.
-          const uint64_t moved = (dest != p || src_parts != n) ? sizes[i] : 0;
-          shuffled_bytes += moved;
-          received_bytes[dest] += moved;
-          sel[dest].push_back(static_cast<uint32_t>(i));
-          result.hashes[dest].push_back(hashes[i]);
-        }
-        for (size_t d = 0; d < n; ++d) {
-          if (!sel[d].empty()) {
-            sinks[d].AppendGather(b, sel[d].data(), sel[d].size());
-          }
-        }
-        b = ColumnBatch();  // the batch is fully consumed; free it eagerly
-      }
-      rows_in[p] = part_rows;
-      total_rows += part_rows;
-      input.partitions[p].clear();
-    }
-    for (BatchSink& s : sinks) s.Flush();
-    input.partitions.clear();
-    metrics->bytes_shuffled += shuffled_bytes;
-    metrics->tuples_processed += total_rows;
-    metrics->simulated_seconds +=
-        static_cast<double>(MaxOver(received_bytes)) *
-            cluster_.network_seconds_per_byte +
-        static_cast<double>(MaxOver(rows_in)) * cluster_.cpu_seconds_per_tuple;
-    DYNOPT_RETURN_IF_ERROR(fault_check(received_bytes, rows_in));
-    metrics->wall_shuffle_seconds += SecondsSince(wall_start);
-    return result;
-  }
 
   // Phase 1: per source partition, hash the key columns of every batch
   // (column-at-a-time) and record each row's destination, per-destination
@@ -650,7 +564,19 @@ Result<ColumnarShuffleResult> JobExecutor::RepartitionColumnar(
       static_cast<double>(MaxOver(received_bytes)) *
           cluster_.network_seconds_per_byte +
       static_cast<double>(MaxOver(rows_in)) * cluster_.cpu_seconds_per_tuple;
-  DYNOPT_RETURN_IF_ERROR(fault_check(received_bytes, rows_in));
+  if (FaultsArmed()) {
+    std::vector<double> per_node(std::max(n, src_parts), 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      per_node[i] += static_cast<double>(received_bytes[i]) *
+                     cluster_.network_seconds_per_byte;
+    }
+    for (size_t i = 0; i < src_parts; ++i) {
+      per_node[i] +=
+          static_cast<double>(rows_in[i]) * cluster_.cpu_seconds_per_tuple;
+    }
+    DYNOPT_RETURN_IF_ERROR(
+        ApplyFaults(FaultSite::kRepartition, per_node, metrics));
+  }
   metrics->wall_shuffle_seconds += SecondsSince(wall_start);
   return result;
 }
@@ -711,7 +637,7 @@ Status JobExecutor::GraceJoinPartition(
   // budget rather than refuse (a single query always completes; the
   // tracker records the over-subscription).
   if (budget == 0 || build_size <= budget || build.num_rows <= 1 ||
-      depth >= cluster_.memory.max_spill_recursion) {
+      depth >= kMaxSpillRecursion) {
     MemoryReservation leaf_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
     leaf_mem.GrowUnchecked(build_size);
     LeafHashJoin(build, probe, build_keys, probe_keys, work, sink);
@@ -722,10 +648,9 @@ Status JobExecutor::GraceJoinPartition(
   // routing (h % num_nodes) and from parent splits, so keys that clustered
   // at this level spread out below. NULL join keys never match, so their
   // rows are dropped at split time instead of being spilled.
-  const int fanout = std::max(2, cluster_.memory.max_spill_fanout);
-  const FastMod mod_f(static_cast<uint64_t>(fanout));
+  const FastMod mod_f(static_cast<uint64_t>(kSpillFanout));
   auto split = [&](const ColumnBatch& side, const std::vector<int>& keys) {
-    std::vector<std::vector<uint32_t>> sub(fanout);
+    std::vector<std::vector<uint32_t>> sub(kSpillFanout);
     std::vector<uint64_t> hashes(side.num_rows);
     std::vector<uint8_t> key_null(side.num_rows, 0);
     HashKeyColumns(side, keys.data(), keys.size(), hashes.data(),
@@ -756,12 +681,12 @@ Status JobExecutor::GraceJoinPartition(
       "s" + std::to_string(serial) + "_p" + std::to_string(part) + "_d" +
       std::to_string(depth) + "_k";
   std::vector<std::string> files;
-  files.reserve(static_cast<size_t>(fanout) * 2);
+  files.reserve(size_t{kSpillFanout} * 2);
   auto cleanup = [&files]() {
     for (const std::string& f : files) std::remove(f.c_str());
   };
-  std::vector<char> live(fanout, 0);
-  for (int k = 0; k < fanout; ++k) {
+  std::vector<char> live(kSpillFanout, 0);
+  for (int k = 0; k < kSpillFanout; ++k) {
     if (build_sub[k].empty() && probe_sub[k].empty()) continue;
     live[k] = 1;
     uint64_t pair_bytes = 0;
@@ -788,8 +713,8 @@ Status JobExecutor::GraceJoinPartition(
 
   // Join each sub-partition pair: read both sides back, drop the files,
   // recurse (a still-oversized sub-partition splits again under a fresh
-  // salt, up to max_spill_recursion).
-  for (int k = 0; k < fanout; ++k) {
+  // salt, up to kMaxSpillRecursion).
+  for (int k = 0; k < kSpillFanout; ++k) {
     if (!live[k]) continue;
     Status alive = CheckAlive();
     if (!alive.ok()) {
@@ -834,6 +759,7 @@ Result<ColumnarDataset> JobExecutor::LocalHashJoinColumnar(
     const std::vector<std::vector<uint64_t>>* build_hashes,
     const std::vector<std::vector<uint64_t>>* probe_hashes) {
   DYNOPT_CHECK(build.partitions.size() == probe.partitions.size());
+  DYNOPT_RETURN_IF_ERROR(valid_);
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   const size_t num_parts = build.partitions.size();
   const size_t batch_cap = cluster_.exec.max_batch_size;
@@ -1176,10 +1102,9 @@ void JobExecutor::TransferPredicate(const ColumnarDataset& build,
                                     const std::vector<int>& probe_keys,
                                     ExecMetrics* metrics) {
   TraceSpan span("predicate-transfer", "kernel");
-  const SketchConfig& cfg = cluster_.sketch;
   const uint64_t build_rows = build.NumRows();
-  BloomFilter bloom(std::max<uint64_t>(build_rows, 1), cfg.pt_bits_per_key,
-                    cfg.seed);
+  BloomFilter bloom(std::max<uint64_t>(build_rows, 1),
+                    cluster_.sketch.pt_bits_per_key);
   {
     std::vector<uint64_t> hashes;
     std::vector<uint8_t> key_null;
@@ -1390,6 +1315,7 @@ Result<SinkResult> JobExecutor::Materialize(
     Dataset&& data, const std::string& prefix,
     const std::vector<std::string>& stats_columns, bool collect_stats,
     ExecMetrics* metrics, const std::vector<std::string>* sketch_columns) {
+  DYNOPT_RETURN_IF_ERROR(valid_);
   DYNOPT_RETURN_IF_ERROR(CheckAlive());
   TraceSpan span("materialize", "kernel");
   const auto wall_start = WallClock::now();
@@ -1595,9 +1521,6 @@ Result<SinkResult> JobExecutor::Materialize(
   if (!sketch_indices.empty()) {
     SketchOptions opts;
     opts.bits_per_key = cluster_.sketch.pt_bits_per_key;
-    opts.agms_depth = cluster_.sketch.agms_depth;
-    opts.agms_width = cluster_.sketch.agms_width;
-    opts.seed = cluster_.sketch.seed;
     const size_t num_sketch = sketch_indices.size();
     // All shards are sized from the same total so merging is well-formed.
     std::vector<std::vector<JoinKeySketch>> shards(num_parts);

@@ -82,6 +82,8 @@ class JobExecutor {
   /// `metrics_registry` is where counters/gauges/histograms land; null
   /// (the default) falls back to MetricsRegistry::Global(). Engines pass
   /// their own registry so metrics stay attributable per engine.
+  /// `cluster` is validated here (ValidateClusterConfig); an invalid one
+  /// makes every job entry point below return that kInvalidArgument.
   JobExecutor(Catalog* catalog, StatsManager* stats, const UdfRegistry* udfs,
               const ClusterConfig& cluster, ThreadPool* pool,
               FaultInjector* faults = nullptr, QueryContext* ctx = nullptr,
@@ -115,13 +117,13 @@ class JobExecutor {
                                      sketch_columns = nullptr);
 
   /// Hash-repartitions `input` on `key_indices` into the cluster's node
-  /// count, metering network traffic. Two-phase parallel exchange: phase 1
+  /// count, metering network traffic. Two-phase exchange: phase 1
   /// hashes every source partition's key columns with HashKeyColumns
   /// (each row's key hash computed exactly once) and records destinations;
   /// phase 2 scatters per *destination* (each destination gathers its rows
   /// from every source batch in order, so writers never share state and the
-  /// output row order matches a sequential shuffle). Fails only under fault
-  /// injection (retryable kTransient).
+  /// output row order matches a sequential shuffle). Fails under fault
+  /// injection (retryable kTransient) and on cancellation.
   Result<ColumnarShuffleResult> RepartitionColumnar(
       ColumnarDataset&& input, const std::vector<int>& key_indices,
       ExecMetrics* metrics);
@@ -209,7 +211,7 @@ class JobExecutor {
   /// flat batches): recursively splits both sides by a re-salted key hash
   /// (Mix64(HashKeyColumns(...) ^ salt)) into checksummed DRB row files
   /// under spill_directory, then joins each sub-partition pair (in memory
-  /// once it fits the budget, or unconditionally at max_spill_recursion — a
+  /// once it fits the budget, or unconditionally at kMaxSpillRecursion — a
   /// single query always completes). Emits into `sink` and accounts
   /// everything in `stats`. Spill files are removed as consumed and on
   /// error.
@@ -240,6 +242,7 @@ class JobExecutor {
                      const std::vector<double>& per_node_seconds,
                      ExecMetrics* metrics, int stage = -1);
 
+  Status valid_;  ///< ValidateClusterConfig(cluster_), checked per job.
   Catalog* catalog_;
   StatsManager* stats_;
   const UdfRegistry* udfs_;

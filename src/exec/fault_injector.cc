@@ -76,8 +76,7 @@ bool FaultInjector::ShouldFailQuery(int stage) {
   // two executors raced here (they do not today — kernel prologues are
   // serial — but the injector should not depend on that).
   int fired = query_failures_fired_.fetch_add(1);
-  if (fired >= config_.max_query_failures) return false;
-  return true;
+  return fired < kMaxQueryFailures;
 }
 
 }  // namespace dynopt

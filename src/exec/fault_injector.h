@@ -33,10 +33,13 @@ const char* FaultSiteName(FaultSite site);
 /// which is what makes recovery terminate: a restarted or resumed query
 /// executes under *fresh* stage ids, so a fault that killed attempt 1 does
 /// not deterministically re-kill attempt 2, and one-shot query failures
-/// (`fail_query_at_stage` + `max_query_failures`) fire a bounded number of
-/// times.
+/// (`fail_query_at_stage`) fire at most kMaxQueryFailures times.
 class FaultInjector {
  public:
+  /// Whole-query aborts per arming: one, so a retried or resumed query
+  /// always gets past the stage that killed it.
+  static constexpr int kMaxQueryFailures = 1;
+
   explicit FaultInjector(const FaultInjectionConfig& config)
       : config_(config) {}
 
@@ -64,7 +67,7 @@ class FaultInjector {
   uint64_t CorruptionOffset(int stage, size_t node) const;
 
   /// True when the whole query must abort at `stage` (one-shot: fires at
-  /// most `max_query_failures` times over the injector's lifetime). Not
+  /// most kMaxQueryFailures times over the injector's lifetime). Not
   /// const: consumes one failure budget when it fires.
   bool ShouldFailQuery(int stage);
 

@@ -93,7 +93,7 @@ struct ExecMetrics {
   /// (see opt/decision_log.h for the full per-decision QueryProfile).
   uint64_t num_decisions = 0;
   /// Extra re-optimization checkpoints the error feedback loop inserted
-  /// because the observed q-error crossed risk.qerror_reopt_threshold
+  /// because the observed q-error crossed DynamicOptimizer::kErrorReoptQError
   /// (dynamic/ingres-like only; 0 always at default config).
   uint64_t error_reopt_triggers = 0;
 

@@ -12,15 +12,10 @@ namespace dynopt {
 
 /// Knobs selecting which optimizer persona the estimator plays.
 struct EstimationOptions {
-  /// Use equi-height histograms for simple fixed-value predicates (paper
-  /// Section 5.1: single local predicates are estimated, not executed).
-  bool use_histograms = true;
-  /// Selinger defaults for predicates the optimizer is blind to (UDFs,
-  /// parameters): 1/10 for equalities, 1/3 for ranges [28].
-  double default_eq_selectivity = 0.1;
-  double default_range_selectivity = 1.0 / 3.0;
   /// INGRES mode: only dataset cardinalities are known; distinct counts
-  /// and histograms are ignored.
+  /// and histograms are ignored. Otherwise simple fixed-value predicates
+  /// are estimated from equi-height histograms (paper Section 5.1: single
+  /// local predicates are estimated, not executed).
   bool cardinality_only = false;
 };
 

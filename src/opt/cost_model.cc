@@ -11,9 +11,9 @@ namespace {
 /// is `node_build_bytes` against `in.memory_budget_bytes`, mirroring
 /// JobExecutor::GraceJoinPartition: each recursion level whose build share
 /// still exceeds the budget re-partitions every row of the pair (CPU) and
-/// writes + reads back every pair byte once (disk rates); a fanout-way
+/// writes + reads back every pair byte once (disk rates); a kSpillFanout-way
 /// split shrinks the build share per level; recursion caps at
-/// max_spill_recursion, after which the executor joins in memory over
+/// kMaxSpillRecursion, after which the executor joins in memory over
 /// budget (no further passes charged). `node_pair_bytes`/`node_pair_rows`
 /// are the per-node build+probe volume each pass rewrites.
 void AddSpillCharge(const JoinCostInputs& in, const ClusterConfig& cluster,
@@ -21,13 +21,11 @@ void AddSpillCharge(const JoinCostInputs& in, const ClusterConfig& cluster,
                     double node_pair_rows, JoinCostBreakdown* out) {
   const double budget = static_cast<double>(in.memory_budget_bytes);
   if (budget <= 0 || node_build_bytes <= budget) return;
-  const double fanout =
-      static_cast<double>(std::max(2, cluster.memory.max_spill_fanout));
   int passes = 0;
   double share = node_build_bytes;
-  while (share > budget && passes < cluster.memory.max_spill_recursion) {
+  while (share > budget && passes < kMaxSpillRecursion) {
     ++passes;
-    share /= fanout;
+    share /= kSpillFanout;
   }
   if (passes == 0) return;
   const double per_pass_seconds =

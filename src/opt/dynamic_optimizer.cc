@@ -18,43 +18,6 @@ namespace dynopt {
 
 namespace {
 
-/// Columns the materialized output of `edge` must carry: projections and
-/// keys of every *other* join edge provided by either joined side.
-std::vector<std::string> RequiredOutputColumns(const QuerySpec& spec,
-                                               const JoinEdge& edge) {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  auto add = [&](const std::string& name) {
-    if (seen.insert(name).second) out.push_back(name);
-  };
-  const TableRef* left = spec.FindRef(edge.left_alias);
-  const TableRef* right = spec.FindRef(edge.right_alias);
-  for (const auto& proj : spec.projections) {
-    if (left->Provides(proj) || right->Provides(proj)) add(proj);
-  }
-  for (const auto& other : spec.joins) {
-    bool is_executed = (other.left_alias == edge.left_alias &&
-                        other.right_alias == edge.right_alias) ||
-                       (other.left_alias == edge.right_alias &&
-                        other.right_alias == edge.left_alias);
-    if (is_executed) continue;
-    for (const std::string& alias : {edge.left_alias, edge.right_alias}) {
-      if (!other.Involves(alias)) continue;
-      for (const auto& key : other.KeysOf(alias)) add(key);
-    }
-  }
-  // Degenerate case: nothing downstream needs this result's columns (can
-  // only happen for pathological projection-less queries); keep the join
-  // keys so the dataset is non-empty schema-wise.
-  if (out.empty()) {
-    for (const auto& [l, r] : edge.keys) {
-      add(l);
-      add(r);
-    }
-  }
-  return out;
-}
-
 /// Key columns of future joins among `available` — the "attributes that
 /// participate on subsequent join stages" the paper collects online
 /// statistics for.
@@ -156,7 +119,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   struct TempCleanup {
     Engine* engine;
     const std::vector<std::string>* names;
-    bool armed;
+    bool armed = true;
     ~TempCleanup() {
       if (!armed) return;
       for (const auto& name : *names) {
@@ -165,7 +128,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
         engine->sketches().RemoveTable(name);
       }
     }
-  } cleanup{engine_, &state.temp_tables, options_.drop_temp_tables};
+  } cleanup{engine_, &state.temp_tables};
 
   // Cuts a checkpoint after a completed stage; returns true when the run
   // must abort here (failure injection).
@@ -206,20 +169,10 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   const bool use_risk = risk_cfg.error_feedback || err_store != nullptr;
   SelectivityRisk risk;  // Rebuilt before every planning round.
   auto rebuild_risk = [&]() {
-    risk = err_store != nullptr
-               ? PriorRisk(state.spec, err_store, risk_cfg.max_ci_widening)
-               : SelectivityRisk();
-    if (!risk_cfg.error_feedback) return;
-    const double observed = std::clamp(state.decisions.GeoMeanQError(), 1.0,
-                                       risk_cfg.max_ci_widening);
-    if (observed <= 1.0) return;
-    // Widen every still-estimated input (intermediates have exact counts)
-    // and the join outputs by the error observed so far this query.
-    risk.global_factor = std::max(risk.global_factor, observed);
-    for (const auto& ref : state.spec.tables) {
-      if (ref.is_intermediate) continue;
-      double& f = risk.alias_factors[ref.alias];
-      f = std::max(f, observed);
+    risk = PriorRisk(state.spec, err_store);
+    // Widen by the error observed so far this query.
+    if (risk_cfg.error_feedback) {
+      WidenRiskByQError(state.spec, state.decisions.GeoMeanQError(), &risk);
     }
   };
   // Stamps the dominant consumed prior onto a decision planned under the
@@ -242,7 +195,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   };
 
   // ---- Stage 1: predicate push-down (Algorithm 1 lines 6-9) -------------
-  if (options_.pushdown_predicates && !state.pushdown_done) {
+  if (!state.pushdown_done) {
     std::vector<std::string> aliases;
     for (const auto& ref : state.spec.tables) aliases.push_back(ref.alias);
     for (size_t i = state.pushdown_next_index; i < aliases.size(); ++i) {
@@ -331,7 +284,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   }
 
   // Temp tables are dropped by the cleanup guard on scope exit (success
-  // and fatal failure alike), honoring options_.drop_temp_tables.
+  // and fatal failure alike).
   auto finish = [&](OptimizerRunResult result) -> OptimizerRunResult {
     auto profile = std::make_shared<QueryProfile>();
     profile->optimizer = options_.profile_label;
@@ -405,8 +358,8 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
   // information mid-query.
   auto extra_reopt_due = [&]() {
     return risk_cfg.error_feedback && state.spec.joins.size() == 2 &&
-           state.extra_reopts < risk_cfg.max_extra_reopts &&
-           state.decisions.MaxQError() > risk_cfg.qerror_reopt_threshold;
+           state.extra_reopts < kMaxExtraReopts &&
+           state.decisions.MaxQError() > kErrorReoptQError;
   };
   while (state.spec.joins.size() > 2 || extra_reopt_due()) {
     // Re-optimization point: the natural cancellation boundary (the paper's
@@ -416,7 +369,7 @@ Result<OptimizerRunResult> DynamicOptimizer::RunFromState(
     const bool extra_round = state.spec.joins.size() <= 2;
     if (extra_round) {
       trace << "[error-reopt] max q-error " << state.decisions.MaxQError()
-            << " > " << risk_cfg.qerror_reopt_threshold
+            << " > " << kErrorReoptQError
             << "; extra materialization point before the final join\n";
     }
     TraceSpan round_span("reopt-" + std::to_string(state.join_counter),

@@ -18,9 +18,6 @@ namespace dynopt {
 /// Figure-6 overhead experiments can ablate individual stages.
 struct DynamicOptimizerOptions {
   PlannerOptions planner;
-  /// Execute-early for multi/complex predicate sets (Algorithm 1 lines
-  /// 6-9); when false, predicates are only estimated.
-  bool pushdown_predicates = true;
   /// Collect sketches on materialized intermediates; when false only exact
   /// row counts are fed back.
   bool collect_online_stats = true;
@@ -32,8 +29,6 @@ struct DynamicOptimizerOptions {
   /// where both sides carry one, falling back to formula (1) otherwise.
   /// Decisions made from sketches are tagged est_src=sketch in the log.
   bool use_sketch_estimates = false;
-  /// Drop materialized temp tables when the query finishes.
-  bool drop_temp_tables = true;
   /// Also push down single simple predicates instead of estimating them
   /// from the histogram — the INGRES-style full decomposition.
   bool pushdown_simple_predicates = false;
@@ -75,9 +70,9 @@ struct DynamicCheckpoint {
   /// SubtreeKey -> actual materialized rows of completed stages.
   std::map<std::string, uint64_t> subtree_actual_rows;
   /// Extra re-optimization checkpoints already spent on this query by the
-  /// error feedback loop (risk.max_extra_reopts bounds it). Lives in the
-  /// checkpoint so a resumed run neither forgets a spent trigger (which
-  /// would re-fire it) nor re-counts one.
+  /// error feedback loop (DynamicOptimizer::kMaxExtraReopts bounds it).
+  /// Lives in the checkpoint so a resumed run neither forgets a spent
+  /// trigger (which would re-fire it) nor re-counts one.
   int extra_reopts = 0;
   /// Original alias -> catalog table name, captured before push-down
   /// rewrites aliases onto temp tables. Cross-query error-store keys must
@@ -100,6 +95,14 @@ struct DynamicCheckpoint {
 ///      statistics and executed as one job whose output is returned.
 class DynamicOptimizer : public Optimizer {
  public:
+  /// With risk.error_feedback on, a query whose worst observed q-error
+  /// exceeds kErrorReoptQError gets an extra re-optimization point where
+  /// the plan would otherwise go static — at most kMaxExtraReopts per query
+  /// (each one costs a materialization, so unbounded triggering could
+  /// thrash).
+  static constexpr double kErrorReoptQError = 4.0;
+  static constexpr int kMaxExtraReopts = 2;
+
   explicit DynamicOptimizer(
       Engine* engine,
       const DynamicOptimizerOptions& options = DynamicOptimizerOptions());

@@ -242,7 +242,6 @@ namespace {
 /// built from, so a knob edit via mutable_cluster() rebuilds it.
 struct EngineErrorStatsSlot {
   std::string path;
-  size_t max_entries = 0;
   std::shared_ptr<ErrorStatsStore> store;
 };
 
@@ -257,13 +256,10 @@ ErrorStatsStore* EngineErrorStats(Engine* engine) {
   std::lock_guard<std::mutex> lock(g_engine_slot_mu);
   auto slot =
       std::static_pointer_cast<EngineErrorStatsSlot>(engine->opt_state());
-  if (slot == nullptr || slot->path != rc.error_stats_path ||
-      slot->max_entries != rc.error_store_max_entries) {
+  if (slot == nullptr || slot->path != rc.error_stats_path) {
     slot = std::make_shared<EngineErrorStatsSlot>();
     slot->path = rc.error_stats_path;
-    slot->max_entries = rc.error_store_max_entries;
-    slot->store = std::make_shared<ErrorStatsStore>(
-        rc.error_stats_path, rc.error_store_max_entries);
+    slot->store = std::make_shared<ErrorStatsStore>(rc.error_stats_path);
     // Fail-soft by contract: a missing/corrupt file logs and starts fresh;
     // an unreadable one still leaves a usable empty store.
     (void)slot->store->Load();
@@ -272,8 +268,8 @@ ErrorStatsStore* EngineErrorStats(Engine* engine) {
   return slot->store.get();
 }
 
-SelectivityRisk PriorRisk(const QuerySpec& spec, const ErrorStatsStore* store,
-                          double cap) {
+SelectivityRisk PriorRisk(const QuerySpec& spec,
+                          const ErrorStatsStore* store) {
   SelectivityRisk risk;
   if (store == nullptr) return risk;
   auto note_prior = [&risk](const std::string& key, double factor) {
@@ -296,7 +292,7 @@ SelectivityRisk PriorRisk(const QuerySpec& spec, const ErrorStatsStore* store,
     bases.push_back(ref.table);
     const std::string key =
         TableErrorKey(ref.table, spec.PredicatesFor(ref.alias));
-    const double f = store->PriorFactor(key, cap);
+    const double f = store->PriorFactor(key, kMaxCiWidening);
     if (f > 1.0) {
       risk.alias_factors[ref.alias] = f;
       note_prior(key, f);
@@ -304,11 +300,23 @@ SelectivityRisk PriorRisk(const QuerySpec& spec, const ErrorStatsStore* store,
   }
   if (!bases.empty()) {
     const std::string key = JoinErrorKey(bases);
-    const double f = store->PriorFactor(key, cap);
+    const double f = store->PriorFactor(key, kMaxCiWidening);
     risk.global_factor = std::max(risk.global_factor, f);
     if (f > 1.0) note_prior(key, f);
   }
   return risk;
+}
+
+void WidenRiskByQError(const QuerySpec& spec, double q_error,
+                       SelectivityRisk* risk) {
+  const double widen = std::clamp(q_error, 1.0, kMaxCiWidening);
+  if (widen <= 1.0) return;
+  risk->global_factor = std::max(risk->global_factor, widen);
+  for (const auto& ref : spec.tables) {
+    if (ref.is_intermediate) continue;
+    double& f = risk->alias_factors[ref.alias];
+    f = std::max(f, widen);
+  }
 }
 
 }  // namespace dynopt

@@ -107,17 +107,26 @@ std::string JoinErrorKey(std::vector<std::string> base_tables);
 /// instead of owning a store, so queries share (and persist to) one error
 /// memory. The store lives in the engine's type-erased opt_state() slot
 /// (the exec layer cannot name opt types) and is rebuilt — with a fail-soft
-/// Load() — whenever risk.error_stats_path / error_store_max_entries
-/// change, mirroring the engine's Rearm* pattern. Returns nullptr when
+/// Load() — whenever risk.error_stats_path changes, mirroring the engine's Rearm* pattern. Returns nullptr when
 /// risk.use_error_store is off (the default). Thread-safe.
 ErrorStatsStore* EngineErrorStats(Engine* engine);
 
+/// Cap on the confidence-interval widening factor applied to uncertain
+/// cardinalities, from within-query feedback and stored priors alike.
+inline constexpr double kMaxCiWidening = 8.0;
+
 /// Prior-only risk for `spec` from the store: per-alias widening factors
 /// from each base table's TableErrorKey and a global factor from the
-/// query's JoinErrorKey, all clamped to [1, cap]. Null store, unknown keys
-/// or intermediates => neutral entries. Never fails.
-SelectivityRisk PriorRisk(const QuerySpec& spec, const ErrorStatsStore* store,
-                          double cap);
+/// query's JoinErrorKey, all clamped to [1, kMaxCiWidening]. Null store,
+/// unknown keys or intermediates => neutral entries. Never fails.
+SelectivityRisk PriorRisk(const QuerySpec& spec, const ErrorStatsStore* store);
+
+/// Widens `risk` by a q-error observed during this query (clamped to
+/// [1, kMaxCiWidening]): every join output and every still-estimated input
+/// of `spec` (intermediates have exact counts) is costed at least that
+/// pessimistically. No-op for q_error <= 1.
+void WidenRiskByQError(const QuerySpec& spec, double q_error,
+                       SelectivityRisk* risk);
 
 }  // namespace dynopt
 

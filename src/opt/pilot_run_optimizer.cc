@@ -99,7 +99,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
       DYNOPT_ASSIGN_OR_RETURN(bound, Bind(predicate, ctx));
     }
 
-    TableStatsBuilder builder(names, indices, options_.stats_options);
+    TableStatsBuilder builder(names, indices);
     uint64_t scanned = 0, matched = 0, scanned_bytes = 0;
     for (size_t p = 0; p < table->num_partitions() &&
                        matched < options_.sample_limit;
@@ -171,8 +171,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   // misled before (skewed join keys the linear ndv scale-up gets wrong).
   ErrorStatsStore* err_store = EngineErrorStats(engine_);
   const bool use_risk = cluster.risk.error_feedback || err_store != nullptr;
-  const SelectivityRisk prior_risk =
-      PriorRisk(spec, err_store, cluster.risk.max_ci_widening);
+  const SelectivityRisk prior_risk = PriorRisk(spec, err_store);
   StatsView view(&planning_spec, &engine_->stats(), &engine_->catalog());
   view.SetAliasOverrides(&overrides);
   TraceSpan plan_span("plan-dp", "opt");
@@ -241,27 +240,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
     return Status::Internal("initial plan joins unconnected datasets");
   }
   // Columns the rest of the query needs from this intermediate.
-  std::vector<std::string> out_columns;
-  {
-    std::set<std::string> seen;
-    for (const auto& proj : spec.projections) {
-      const TableRef* l = spec.FindRef(build);
-      const TableRef* r = spec.FindRef(probe);
-      if ((l->Provides(proj) || r->Provides(proj)) && seen.insert(proj).second) {
-        out_columns.push_back(proj);
-      }
-    }
-    for (const auto& edge : spec.joins) {
-      bool is_executed = edge.Involves(build) && edge.Involves(probe);
-      if (is_executed) continue;
-      for (const std::string& alias : {build, probe}) {
-        if (!edge.Involves(alias)) continue;
-        for (const auto& key : edge.KeysOf(alias)) {
-          if (seen.insert(key).second) out_columns.push_back(key);
-        }
-      }
-    }
-  }
+  std::vector<std::string> out_columns = RequiredOutputColumns(spec, executed);
   // Pilot-statistics estimate of the executed join (what the initial plan
   // believed), recorded against the materialized actual below.
   CardinalityEstimator pilot_estimator(&view, options_.planner.estimation);
@@ -351,17 +330,9 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
   // evidence of how far the sampled statistics can be trusted — a bad one
   // widens every remaining estimate (on top of any cross-query priors)
   // before the tail of the plan commits to broadcast-sized bets.
-  SelectivityRisk rest_risk =
-      PriorRisk(remaining, err_store, cluster.risk.max_ci_widening);
-  if (cluster.risk.error_feedback && pilot_q > 1.0) {
-    const double widen =
-        std::min(pilot_q, cluster.risk.max_ci_widening);
-    rest_risk.global_factor = std::max(rest_risk.global_factor, widen);
-    for (const auto& ref : remaining.tables) {
-      if (ref.is_intermediate) continue;
-      double& f = rest_risk.alias_factors[ref.alias];
-      f = std::max(f, widen);
-    }
+  SelectivityRisk rest_risk = PriorRisk(remaining, err_store);
+  if (cluster.risk.error_feedback) {
+    WidenRiskByQError(remaining, pilot_q, &rest_risk);
   }
   if (remaining.joins.empty()) {
     rest_tree = JoinTree::Leaf(new_alias);

@@ -6,7 +6,6 @@
 #include "exec/engine.h"
 #include "opt/optimizer.h"
 #include "opt/planner.h"
-#include "stats/column_stats.h"
 
 namespace dynopt {
 
@@ -15,7 +14,6 @@ struct PilotRunOptions {
   /// LIMIT k of each pilot run: sampling stops once k tuples have been
   /// output (the technique of [23] as described in Section 7 of the paper).
   size_t sample_limit = 1000;
-  StatsOptions stats_options;
 };
 
 /// The pilot-run baseline [23]: before optimizing, a select-project "pilot

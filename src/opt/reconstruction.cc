@@ -1,6 +1,7 @@
 #include "opt/reconstruction.h"
 
 #include <algorithm>
+#include <set>
 
 namespace dynopt {
 
@@ -78,6 +79,41 @@ QuerySpec ReconstructAfterJoin(const QuerySpec& spec, const JoinEdge& executed,
     out.joins.push_back(std::move(updated));
   }
   out.NormalizeJoins();
+  return out;
+}
+
+std::vector<std::string> RequiredOutputColumns(const QuerySpec& spec,
+                                               const JoinEdge& edge) {
+  std::vector<std::string> out;
+  std::set<std::string> seen;
+  auto add = [&](const std::string& name) {
+    if (seen.insert(name).second) out.push_back(name);
+  };
+  const TableRef* left = spec.FindRef(edge.left_alias);
+  const TableRef* right = spec.FindRef(edge.right_alias);
+  for (const auto& proj : spec.projections) {
+    if (left->Provides(proj) || right->Provides(proj)) add(proj);
+  }
+  for (const auto& other : spec.joins) {
+    bool is_executed = (other.left_alias == edge.left_alias &&
+                        other.right_alias == edge.right_alias) ||
+                       (other.left_alias == edge.right_alias &&
+                        other.right_alias == edge.left_alias);
+    if (is_executed) continue;
+    for (const std::string& alias : {edge.left_alias, edge.right_alias}) {
+      if (!other.Involves(alias)) continue;
+      for (const auto& key : other.KeysOf(alias)) add(key);
+    }
+  }
+  // Degenerate case: nothing downstream needs this result's columns (can
+  // only happen for pathological projection-less queries); keep the join
+  // keys so the dataset is non-empty schema-wise.
+  if (out.empty()) {
+    for (const auto& [l, r] : edge.keys) {
+      add(l);
+      add(r);
+    }
+  }
   return out;
 }
 

@@ -34,6 +34,12 @@ QuerySpec ReconstructAfterJoin(const QuerySpec& spec, const JoinEdge& executed,
                                const std::string& new_alias,
                                std::vector<std::string> provided);
 
+/// Columns the materialized output of join `edge` must carry: projections
+/// provided by either joined side and the keys of every *other* join edge
+/// touching them (the `provided` list ReconstructAfterJoin expects).
+std::vector<std::string> RequiredOutputColumns(const QuerySpec& spec,
+                                               const JoinEdge& edge);
+
 }  // namespace dynopt
 
 #endif  // DYNOPT_OPT_RECONSTRUCTION_H_

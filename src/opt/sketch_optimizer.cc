@@ -30,9 +30,6 @@ Status SketchDynamicOptimizer::EnsureBaseSketches(const QuerySpec& query,
                                                   ExecMetrics* metrics) {
   SketchOptions opts;
   opts.bits_per_key = engine_->cluster().sketch.pt_bits_per_key;
-  opts.agms_depth = engine_->cluster().sketch.agms_depth;
-  opts.agms_width = engine_->cluster().sketch.agms_width;
-  opts.seed = engine_->cluster().sketch.seed;
   const double stats_rate = engine_->cluster().stats_seconds_per_value;
 
   for (const auto& ref : query.tables) {

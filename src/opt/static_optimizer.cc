@@ -205,9 +205,8 @@ Result<std::shared_ptr<const JoinTree>> StaticCostBasedOptimizer::PlanWithDp(
       // Broadcast (build = s1, must be small — judged pessimistically, so
       // a side with a misestimation history loses its broadcast
       // eligibility before it can blow past the threshold at runtime).
-      if (options.enable_broadcast &&
-          left.bytes * wl <=
-              static_cast<double>(cluster.broadcast_threshold_bytes)) {
+      if (left.bytes * wl <=
+          static_cast<double>(cluster.broadcast_threshold_bytes)) {
         double cost = base_cost + EstimateJoinExecCost(JoinMethod::kBroadcast,
                                                        in, cluster, 0.0);
         if (cost < entry.cost) {
@@ -267,8 +266,7 @@ Result<OptimizerRunResult> StaticCostBasedOptimizer::Run(
   // this plan's confidence intervals, and this run's root q-error feeds
   // the store for the next one.
   ErrorStatsStore* err_store = EngineErrorStats(engine_);
-  const SelectivityRisk risk =
-      PriorRisk(spec, err_store, engine_->cluster().risk.max_ci_widening);
+  const SelectivityRisk risk = PriorRisk(spec, err_store);
   double est_rows = -1;
   double est_cost = -1;
   DYNOPT_ASSIGN_OR_RETURN(

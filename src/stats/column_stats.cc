@@ -7,6 +7,17 @@
 
 namespace dynopt {
 
+namespace {
+
+/// Sketch resolution of statistics collection, fixed at the accuracy regime
+/// the paper relies on: fine enough that single fixed-value range
+/// predicates estimate well, cheap enough that collection is a small
+/// fraction of scan cost.
+constexpr double kGkEpsilon = 0.005;
+constexpr int kHllPrecision = 12;
+
+}  // namespace
+
 double ColumnStatsSnapshot::EstimateEqSelectivity(const Value& v) const {
   if (count == 0 || ndv <= 0) return 0.1;  // Selinger default 1/10.
   if (!v.is_null() && !min_value.is_null() && !max_value.is_null()) {
@@ -33,9 +44,7 @@ std::string ColumnStatsSnapshot::ToString() const {
 }
 
 ColumnStatsBuilder::ColumnStatsBuilder(const StatsOptions& options)
-    : options_(options),
-      gk_(options.gk_epsilon),
-      hll_(options.hll_precision) {}
+    : options_(options), gk_(kGkEpsilon), hll_(kHllPrecision) {}
 
 void ColumnStatsBuilder::Add(const Value& v) {
   ++count_;

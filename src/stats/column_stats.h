@@ -10,13 +10,8 @@
 
 namespace dynopt {
 
-/// Tuning knobs for statistics collection (sketch resolution). The defaults
-/// match the accuracy regime the paper relies on: fine enough that single
-/// fixed-value range predicates estimate well, cheap enough that collection
-/// is a small fraction of scan cost.
+/// Tuning knobs for statistics collection.
 struct StatsOptions {
-  double gk_epsilon = 0.005;
-  int hll_precision = 12;
   int histogram_buckets = 64;
 };
 

@@ -304,18 +304,19 @@ TEST(PriorRiskTest, MapsStoredErrorsOntoAliasAndGlobalFactors) {
   spec.predicates = {{"o", Eq(Col("o", "status"), Lit(Value(int64_t{3})))}};
 
   // Empty store: fully neutral risk.
-  SelectivityRisk neutral = PriorRisk(spec, &store, 8.0);
+  SelectivityRisk neutral = PriorRisk(spec, &store);
   EXPECT_TRUE(neutral.IsNeutral());
-  EXPECT_TRUE(PriorRisk(spec, nullptr, 8.0).IsNeutral());
+  EXPECT_TRUE(PriorRisk(spec, nullptr).IsNeutral());
 
-  store.Record(TableErrorKey("orders", spec.PredicatesFor("o")), 6.0);
+  store.Record(TableErrorKey("orders", spec.PredicatesFor("o")), 12.0);
   store.Record(JoinErrorKey({"orders", "part"}), 3.0);
-  SelectivityRisk risk = PriorRisk(spec, &store, 4.0);
+  SelectivityRisk risk = PriorRisk(spec, &store);
   EXPECT_FALSE(risk.IsNeutral());
-  EXPECT_DOUBLE_EQ(risk.alias_factors.at("o"), 4.0);  // 6.0 clamped to cap.
-  EXPECT_EQ(risk.alias_factors.count("p"), 0u);       // Nothing stored.
+  // 12.0 clamped to the cap.
+  EXPECT_DOUBLE_EQ(risk.alias_factors.at("o"), kMaxCiWidening);
+  EXPECT_EQ(risk.alias_factors.count("p"), 0u);  // Nothing stored.
   EXPECT_DOUBLE_EQ(risk.global_factor, 3.0);
-  EXPECT_DOUBLE_EQ(risk.FactorFor("o"), 4.0);
+  EXPECT_DOUBLE_EQ(risk.FactorFor("o"), kMaxCiWidening);
   // FactorFor covers only per-alias widening; the global factor is applied
   // to join outputs by the planners, not folded into input lookups.
   EXPECT_DOUBLE_EQ(risk.FactorFor("p"), 1.0);

@@ -185,10 +185,9 @@ void ExpectPipelineParityWith(JobExecutor executor,
   EXPECT_EQ(par_metrics.bytes_broadcast, ref_metrics.bytes_broadcast);
 }
 
-/// Runs the parity check through both routes of the adaptive exchange: the
-/// engine's own pool (the one-pass route on single-worker hosts) and an
-/// explicit multi-worker pool (always the two-phase scatter route), so both
-/// code paths are covered regardless of the host's core count.
+/// Runs the parity check on the engine's own pool (sized to the host) and
+/// on an explicit three-worker pool, so the exchange is covered at more
+/// than one degree of parallelism regardless of the host's core count.
 void ExpectPipelineParity(Engine* engine, const Dataset& build_in,
                           const Dataset& probe_in,
                           const std::vector<int>& build_keys,
@@ -366,8 +365,7 @@ TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
   // The shuffle meters from the batches' per-row size annotation (here
   // carried over from the row producer's) instead of re-walking payloads —
   // the resulting bytes and simulated seconds must be bit-identical to the
-  // reference (which always recomputes), on both routes of the adaptive
-  // exchange.
+  // reference (which always recomputes), on both pools.
   Dataset input = MakeDataset({.num_partitions = 7, .rows = 400,
                                .key_domain = 23, .null_fraction = 0.1});
   input.row_sizes.resize(input.partitions.size());
@@ -383,8 +381,8 @@ TEST_F(ExchangeTest, AnnotatedInputShuffleMetersIdentically) {
   ThreadPool pool3(3);
   JobExecutor scatter(&engine_->catalog(), &engine_->stats(),
                       &engine_->udfs(), engine_->cluster(), &pool3);
-  JobExecutor onepass = MakeExecutor();
-  for (JobExecutor* executor : {&onepass, &scatter}) {
+  JobExecutor engine_pool = MakeExecutor();
+  for (JobExecutor* executor : {&engine_pool, &scatter}) {
     ExecMetrics par_metrics;
     Dataset parts = ToDataset(
         MustOk(executor->RepartitionColumnar(ToColumnar(input), keys,

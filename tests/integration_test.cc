@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "exec/engine.h"
 #include "opt/dynamic_optimizer.h"
 #include "opt/ingres_optimizer.h"
 #include "opt/order_baselines.h"
 #include "opt/pilot_run_optimizer.h"
+#include "opt/sketch_optimizer.h"
 #include "opt/static_optimizer.h"
 #include "workloads/tpcds.h"
 #include "workloads/tpch.h"
@@ -180,6 +183,46 @@ TEST_P(AllQueriesTest, InljProducesSameResults) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   SortRows(&result->rows);
   EXPECT_EQ(base->rows, result->rows);
+}
+
+/// An invalid ClusterConfig edited in after the engine was built comes back
+/// from every strategy as kInvalidArgument instead of aborting the process.
+TEST(InvalidClusterConfigTest, EveryStrategyReturnsInvalidArgument) {
+  Engine engine;
+  TpchOptions tpch;
+  tpch.sf = 0.02;
+  ASSERT_TRUE(LoadTpch(&engine, tpch).ok());
+  auto query = TpchQ9(&engine);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto hint = DynamicOptimizer(&engine).Run(query.value());
+  ASSERT_TRUE(hint.ok()) << hint.status().ToString();
+
+  const ClusterConfig valid = engine.cluster();
+  for (const char* knob : {"max_batch_size", "max_concurrent_queries"}) {
+    engine.mutable_cluster() = valid;
+    if (std::string(knob) == "max_batch_size") {
+      engine.mutable_cluster().exec.max_batch_size = 0;
+    } else {
+      engine.mutable_cluster().admission.max_concurrent_queries = 0;
+    }
+    std::vector<std::unique_ptr<Optimizer>> strategies;
+    strategies.push_back(std::make_unique<DynamicOptimizer>(&engine));
+    strategies.push_back(std::make_unique<StaticCostBasedOptimizer>(&engine));
+    strategies.push_back(std::make_unique<WorstOrderOptimizer>(&engine));
+    strategies.push_back(
+        std::make_unique<BestOrderOptimizer>(&engine, hint->join_tree));
+    strategies.push_back(std::make_unique<PilotRunOptimizer>(&engine));
+    strategies.push_back(std::make_unique<IngresLikeOptimizer>(&engine));
+    strategies.push_back(std::make_unique<SketchDynamicOptimizer>(&engine));
+    for (const auto& strategy : strategies) {
+      auto result = strategy->Run(query.value());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << strategy->name() << " with " << knob << " = 0: "
+          << result.status().ToString();
+      EXPECT_NE(result.status().message().find(knob), std::string::npos)
+          << result.status().message();
+    }
+  }
 }
 
 }  // namespace

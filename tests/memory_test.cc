@@ -141,10 +141,8 @@ class GraceJoinTest : public ::testing::Test {
     std::filesystem::remove_all(spill_dir_, ec);
   }
 
-  Result<JobResult> RunJoin(uint64_t join_budget, QueryContext* ctx,
-                            int fanout = 32) {
+  Result<JobResult> RunJoin(uint64_t join_budget, QueryContext* ctx) {
     engine_->mutable_cluster().memory.join_memory_budget_bytes = join_budget;
-    engine_->mutable_cluster().memory.max_spill_fanout = fanout;
     auto plan = PlanNode::Join(JoinMethod::kHashShuffle,
                                PlanNode::Scan("b", "b"),
                                PlanNode::Scan("p", "p"), {{"b.k", "p.k"}});
@@ -185,12 +183,18 @@ TEST_F(GraceJoinTest, TinyBudgetForcesRecursionAndStillMatches) {
   auto unlimited = RunJoin(0, nullptr);
   ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
 
-  // A 1KB budget with fanout 2 cannot fit any partition after one split,
-  // so the join recurses several levels before leafing out.
+  // A 256-byte budget still overflows many sub-partitions after the first
+  // kSpillFanout-way split, so the join recurses before leafing out.
   QueryContext ctx("recursive");
-  auto spilled = RunJoin(1024, &ctx, /*fanout=*/2);
+  auto spilled = RunJoin(256, &ctx);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  EXPECT_GT(spilled->metrics.spill_partitions, 1u);
+  // One split level spills each input byte at most once; spilling more
+  // than both inputs together proves a second level ran.
+  uint64_t input_bytes = 0;
+  for (const char* name : {"b", "p"}) {
+    input_bytes += engine_->catalog().GetTable(name).value()->TotalBytes();
+  }
+  EXPECT_GT(spilled->metrics.spilled_bytes, input_bytes);
 
   std::vector<Row> a = unlimited->data.GatherRows();
   std::vector<Row> b = spilled->data.GatherRows();
@@ -202,7 +206,7 @@ TEST_F(GraceJoinTest, TinyBudgetForcesRecursionAndStillMatches) {
 
 TEST_F(GraceJoinTest, DuplicateHeavyKeyDegradesToInMemory) {
   // All build rows share one key: partitioning can never shrink the run,
-  // so recursion must bottom out at max_spill_recursion and finish the
+  // so recursion must bottom out at kMaxSpillRecursion and finish the
   // join in memory rather than looping forever.
   auto t = std::make_shared<Table>(
       "dup", Schema({{"k", ValueType::kInt64}, {"pad", ValueType::kString}}),
@@ -213,7 +217,6 @@ TEST_F(GraceJoinTest, DuplicateHeavyKeyDegradesToInMemory) {
   ASSERT_TRUE(engine_->catalog().RegisterTable(t).ok());
 
   engine_->mutable_cluster().memory.join_memory_budget_bytes = 1024;
-  engine_->mutable_cluster().memory.max_spill_fanout = 2;
   auto plan = PlanNode::Join(JoinMethod::kHashShuffle,
                              PlanNode::Scan("dup", "d"),
                              PlanNode::Scan("dup", "e"), {{"d.k", "e.k"}});
@@ -222,6 +225,8 @@ TEST_F(GraceJoinTest, DuplicateHeavyKeyDegradesToInMemory) {
   auto result = executor.Execute(*plan, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->data.NumRows(), uint64_t{600} * 600);
+  // One spilled sub-partition pair per level, down to the cap.
+  EXPECT_EQ(result->metrics.spill_partitions, uint64_t{kMaxSpillRecursion});
   EXPECT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 0);
 }
 

@@ -250,27 +250,11 @@ TEST(SketchConfigTest, ValidateRejectsOutOfRangeKnobs) {
   c = ok;
   c.sketch.pt_bits_per_key = 65.0;
   EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_depth = 0;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_depth = 65;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_width = 0;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
-  c = ok;
-  c.sketch.agms_width = 2000000;
-  EXPECT_FALSE(ValidateClusterConfig(c).ok());
   // The boundary values themselves are legal.
   c = ok;
   c.sketch.pt_bits_per_key = 1.0;
-  c.sketch.agms_depth = 1;
-  c.sketch.agms_width = 1;
   EXPECT_TRUE(ValidateClusterConfig(c).ok());
   c.sketch.pt_bits_per_key = 64.0;
-  c.sketch.agms_depth = 64;
-  c.sketch.agms_width = 1048576;
   EXPECT_TRUE(ValidateClusterConfig(c).ok());
 }
 
