@@ -56,7 +56,9 @@ struct JoinStep {
   std::vector<std::string> probe_cols;
 };
 
-std::vector<int> MustResolve(const Dataset& data,
+/// Slots of `names` in a Dataset or ColumnarDataset.
+template <typename DataT>
+std::vector<int> MustResolve(const DataT& data,
                              const std::vector<std::string>& names) {
   std::vector<int> indices;
   for (const auto& name : names) {
@@ -123,18 +125,8 @@ PipelineResult RunPipelineColumnar(JobExecutor* executor,
   PipelineResult result;
   const auto start = WallClock::now();
   for (size_t s = 0; s < steps.size(); ++s) {
-    std::vector<int> build_keys;
-    for (const auto& name : steps[s].build_cols) {
-      int idx = builds[s].ColumnIndex(name);
-      DYNOPT_CHECK(idx >= 0);
-      build_keys.push_back(idx);
-    }
-    std::vector<int> probe_keys;
-    for (const auto& name : steps[s].probe_cols) {
-      int idx = current.ColumnIndex(name);
-      DYNOPT_CHECK(idx >= 0);
-      probe_keys.push_back(idx);
-    }
+    std::vector<int> build_keys = MustResolve(builds[s], steps[s].build_cols);
+    std::vector<int> probe_keys = MustResolve(current, steps[s].probe_cols);
     // Injection is never armed here, so the kernels cannot fail.
     auto build_or = executor->RepartitionColumnar(std::move(builds[s]),
                                                   build_keys, &result.metrics);
@@ -159,7 +151,7 @@ PipelineResult RunPipelineColumnar(JobExecutor* executor,
 Dataset MustExec(JobExecutor* executor, std::unique_ptr<PlanNode> plan) {
   auto result = executor->Execute(*plan, {});
   DYNOPT_CHECK(result.ok());
-  return std::move(result->data);
+  return ToDataset(std::move(result->data));
 }
 
 /// Filter-kernel microbenchmark: the same predicate evaluated row-at-a-time

@@ -118,12 +118,15 @@ class AdmissionController {
 
   /// Blocks until this query holds a slot (and its memory reservation), the
   /// queue bound/timeout/shedder refuses it (kResourceExhausted), or `ctx`
-  /// is cancelled/expires while waiting (kCancelled). `ctx` may be null
-  /// (kNormal priority, no cancellation, no tracker re-homing). On success
-  /// the wait time is recorded in ctx->queue_wait_seconds, degradation
-  /// stamps are applied, and the query tracker is attached under the
-  /// engine tracker with the (possibly degraded) reservation as its budget.
+  /// is cancelled/expires while waiting (kCancelled); an invalid config
+  /// returns ValidateAdmissionConfig's kInvalidArgument at once. `ctx` may
+  /// be null (kNormal priority, no cancellation, no tracker re-homing). On
+  /// success the wait time is recorded in ctx->queue_wait_seconds,
+  /// degradation stamps are applied, and the query tracker is attached
+  /// under the engine tracker with the (possibly degraded) reservation as
+  /// its budget.
   Result<Ticket> Admit(QueryContext* ctx) {
+    DYNOPT_RETURN_IF_ERROR(ValidateAdmissionConfig(config_));
     const auto start = Clock::now();
     auto& registry = *registry_;
     std::unique_lock<std::mutex> lock(mu_);

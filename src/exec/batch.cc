@@ -17,165 +17,114 @@ uint64_t ColumnVector::HashDoubleValue(double d) {
   return Mix64(bits);
 }
 
-namespace {
-
-/// Per-column type scan over one chunk of rows: the unique non-NULL value
-/// type, or kValues when types mix. All-NULL columns land on kInt64 (all
-/// invalid), which round-trips since validity masks every slot.
-ColumnKind InferKind(const Row* rows, size_t n, size_t col, bool* has_nulls) {
-  ValueType seen = ValueType::kNull;
-  bool mixed = false;
-  bool nulls = false;
-  for (size_t i = 0; i < n; ++i) {
-    const Value& v = rows[i][col];
-    const ValueType t = v.type();
-    if (t == ValueType::kNull) {
-      nulls = true;
-      continue;
-    }
-    if (seen == ValueType::kNull) {
-      seen = t;
-    } else if (t != seen) {
-      mixed = true;
-      break;
-    }
-  }
-  *has_nulls = nulls;
-  if (mixed) return ColumnKind::kValues;
-  switch (seen) {
-    case ValueType::kNull:  // All NULL: typed column, every slot invalid.
-    case ValueType::kInt64:
-      return ColumnKind::kInt64;
-    case ValueType::kDouble:
-      return ColumnKind::kDouble;
-    case ValueType::kBool:
-      return ColumnKind::kBool;
-    case ValueType::kString:
-      return ColumnKind::kString;
-  }
-  return ColumnKind::kValues;
+void ColumnVector::PromoteToValues() {
+  if (kind == ColumnKind::kValues) return;
+  const size_t n = size();
+  std::vector<Value> promoted;
+  promoted.reserve(n);
+  for (size_t i = 0; i < n; ++i) promoted.push_back(ValueAt(i));
+  kind = ColumnKind::kValues;
+  values = std::move(promoted);
+  i64.clear();
+  f64.clear();
+  b8.clear();
+  codes.clear();
+  dict.reset();
+  validity.clear();
 }
 
-/// Infers the kind of source column `c` over the chunk and fills one
-/// ColumnVector from it (typed fill, zeroed NULL slots, dict interning).
-void FillColumn(const Row* rows, size_t n, size_t c, ColumnVector* out) {
-  ColumnVector& col = *out;
-  bool has_nulls = false;
-  col.kind = InferKind(rows, n, c, &has_nulls);
-  if (has_nulls && col.kind != ColumnKind::kValues) {
-    col.validity.assign(n, 1);
+namespace {
+
+/// The typed layout of values of type `t` (kNull: kInt64, every slot
+/// invalid), indexed by ValueType.
+ColumnKind KindOf(ValueType t) {
+  static constexpr ColumnKind kKindByType[5] = {
+      ColumnKind::kInt64, ColumnKind::kBool, ColumnKind::kInt64,
+      ColumnKind::kDouble, ColumnKind::kString};
+  return kKindByType[static_cast<size_t>(t)];
+}
+
+void AppendValue(ColumnVector* col, const Value& v) {
+  const bool is_null = v.is_null();
+  if (!is_null && col->kind != ColumnKind::kValues &&
+      KindOf(v.type()) != col->kind) {
+    col->PromoteToValues();
   }
-  switch (col.kind) {
+  // NULL slots hold a zeroed payload (code 0 for strings) under validity 0.
+  switch (col->kind) {
     case ColumnKind::kInt64:
-      col.i64.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][c];
-        if (v.is_null()) {
-          col.validity[i] = 0;
-          col.i64[i] = 0;
-        } else {
-          col.i64[i] = v.AsInt64();
-        }
-      }
+      col->i64.push_back(is_null ? 0 : v.AsInt64());
       break;
     case ColumnKind::kDouble:
-      col.f64.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][c];
-        if (v.is_null()) {
-          col.validity[i] = 0;
-          col.f64[i] = 0;
-        } else {
-          col.f64[i] = v.AsDouble();
-        }
-      }
+      col->f64.push_back(is_null ? 0 : v.AsDouble());
       break;
     case ColumnKind::kBool:
-      col.b8.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][c];
-        if (v.is_null()) {
-          col.validity[i] = 0;
-          col.b8[i] = 0;
-        } else {
-          col.b8[i] = v.AsBool() ? 1 : 0;
-        }
-      }
+      col->b8.push_back(!is_null && v.AsBool() ? 1 : 0);
       break;
-    case ColumnKind::kString: {
-      col.dict = std::make_shared<StringDict>();
-      col.codes.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][c];
-        if (v.is_null()) {
-          col.validity[i] = 0;
-          col.codes[i] = 0;
-        } else {
-          col.codes[i] = col.dict->Intern(v.AsStringUnchecked());
-        }
-      }
+    case ColumnKind::kString:
+      col->codes.push_back(is_null ? 0
+                                   : col->dict->Intern(v.AsStringUnchecked()));
       break;
-    }
     case ColumnKind::kValues:
-      col.values.reserve(n);
-      for (size_t i = 0; i < n; ++i) col.values.push_back(rows[i][c]);
-      break;
+      col->values.push_back(v);
+      return;
+  }
+  if (is_null) {
+    if (col->validity.empty()) col->validity.assign(col->size() - 1, 1);
+    col->validity.push_back(0);
+  } else if (!col->validity.empty()) {
+    col->validity.push_back(1);
   }
 }
 
 }  // namespace
 
-ColumnBatch BatchFromRows(const Row* rows, const uint64_t* sizes, size_t n,
-                          size_t num_columns) {
+ColumnBatch EmptyBatch(const std::vector<ValueType>& types) {
   ColumnBatch batch;
-  batch.num_rows = n;
-  batch.columns.resize(num_columns);
-  for (size_t c = 0; c < num_columns; ++c) {
-    FillColumn(rows, n, c, &batch.columns[c]);
-  }
-  if (sizes != nullptr) {
-    batch.row_sizes.assign(sizes, sizes + n);
-  } else {
-    batch.row_sizes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch.row_sizes[i] = RowSizeBytesInline(rows[i]);
+  batch.columns.resize(types.size());
+  for (size_t c = 0; c < types.size(); ++c) {
+    ColumnVector& col = batch.columns[c];
+    col.kind = KindOf(types[c]);
+    if (col.kind == ColumnKind::kString) {
+      col.dict = std::make_shared<StringDict>();
     }
   }
   return batch;
 }
 
-ColumnBatch BatchFromRowsProjected(const Row* rows, size_t n, const int* keep,
-                                   size_t num_keep) {
-  ColumnBatch batch;
-  batch.num_rows = n;
-  batch.columns.resize(num_keep);
-  for (size_t c = 0; c < num_keep; ++c) {
-    FillColumn(rows, n, static_cast<size_t>(keep[c]), &batch.columns[c]);
+void AppendRowToBatch(ColumnBatch* batch, const Row& row, uint64_t row_size) {
+  for (size_t c = 0; c < batch->columns.size(); ++c) {
+    AppendValue(&batch->columns[c], row[c]);
   }
-  batch.row_sizes.assign(n, 8);  // Row header.
-  for (size_t c = 0; c < num_keep; ++c) {
-    const size_t src = static_cast<size_t>(keep[c]);
-    for (size_t i = 0; i < n; ++i) {
-      batch.row_sizes[i] += ValueSizeBytesInline(rows[i][src]);
+  batch->row_sizes.push_back(row_size);
+  ++batch->num_rows;
+}
+
+ColumnBatch BatchFromRows(const Row* rows, size_t n, size_t num_columns) {
+  // Each column takes the type of its first non-NULL value; a second type
+  // promotes it to kValues while appending.
+  std::vector<ValueType> types(num_columns, ValueType::kNull);
+  for (size_t c = 0; c < num_columns; ++c) {
+    for (size_t i = 0; i < n && types[c] == ValueType::kNull; ++i) {
+      types[c] = rows[i][c].type();
     }
+  }
+  ColumnBatch batch = EmptyBatch(types);
+  for (size_t i = 0; i < n; ++i) {
+    AppendRowToBatch(&batch, rows[i], RowSizeBytes(rows[i]));
   }
   return batch;
 }
 
 ColumnarDataset FromDataset(const Dataset& data, size_t max_batch_size) {
   ColumnarDataset out(data.columns, data.partitions.size());
-  const bool has_sizes = data.HasRowSizes();
-  const size_t num_cols = data.columns.size();
   for (size_t p = 0; p < data.partitions.size(); ++p) {
     const auto& rows = data.partitions[p];
-    auto& batches = out.partitions[p];
-    batches.reserve(rows.size() / max_batch_size + 1);
     for (size_t start = 0; start < rows.size(); start += max_batch_size) {
-      const size_t n = std::min(max_batch_size, rows.size() - start);
-      batches.push_back(BatchFromRows(
-          rows.data() + start,
-          has_sizes ? data.row_sizes[p].data() + start : nullptr, n,
-          num_cols));
+      out.partitions[p].push_back(
+          BatchFromRows(rows.data() + start,
+                        std::min(max_batch_size, rows.size() - start),
+                        data.columns.size()));
     }
   }
   return out;
@@ -185,20 +134,12 @@ Dataset ToDataset(ColumnarDataset&& data) {
   Dataset out(std::move(data.columns), data.partitions.size());
   out.row_sizes.resize(data.partitions.size());
   for (size_t p = 0; p < data.partitions.size(); ++p) {
-    auto& rows = out.partitions[p];
-    auto& sizes = out.row_sizes[p];
-    uint64_t total = 0;
-    for (const ColumnBatch& b : data.partitions[p]) total += b.num_rows;
-    rows.reserve(total);
-    sizes.reserve(total);
-    for (ColumnBatch& b : data.partitions[p]) {
-      for (size_t i = 0; i < b.num_rows; ++i) rows.push_back(b.RowAt(i));
-      sizes.insert(sizes.end(), b.row_sizes.begin(), b.row_sizes.end());
-      b = ColumnBatch();  // Free as we go: peak memory is one batch.
+    AppendRowsOf(data.partitions[p], &out.partitions[p]);
+    for (const ColumnBatch& b : data.partitions[p]) {
+      out.row_sizes[p].insert(out.row_sizes[p].end(), b.row_sizes.begin(),
+                              b.row_sizes.end());
     }
-    data.partitions[p].clear();
   }
-  data.partitions.clear();
   return out;
 }
 

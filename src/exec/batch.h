@@ -23,12 +23,13 @@ namespace dynopt {
 /// because rows are dynamically typed — fall back to a Value-per-row
 /// representation that round-trips exactly.
 ///
-/// Row storage remains the boundary: scans slice row-stored tables into
-/// batches, job results and spill files are rows. FromDataset/ToDataset
-/// convert losslessly, and every batch carries the per-row byte sizes
-/// (`row_sizes`, RowSizeBytes of each row) computed from column widths at
-/// batch creation, so network/disk metering equals the row-based cost
-/// model byte for byte.
+/// The batch is the engine's one data format: tables store batches
+/// (storage/table.h), scans copy slices of them, and job results and
+/// materialized intermediates stay batches. Rows remain only at the load
+/// API, result delivery, the checksummed DRB files and the seed reference
+/// kernels. Every batch carries the per-row byte sizes (`row_sizes`,
+/// RowSizeBytes of each row) computed once when the row was added, so
+/// network/disk metering equals the row-based cost model byte for byte.
 
 /// Physical layout of one column vector.
 enum class ColumnKind : uint8_t {
@@ -197,6 +198,9 @@ struct ColumnVector {
     return 1;
   }
 
+  /// Converts a typed column to the kValues fallback in place.
+  void PromoteToValues();
+
   /// Hash of a double under the engine's cross-type key rule (integral
   /// doubles hash like the equal int64) — the kDouble leg of
   /// ValueHashInline.
@@ -205,8 +209,8 @@ struct ColumnVector {
 
 /// A fixed-capacity horizontal slice of a partition: `num_rows` rows across
 /// `columns.size()` column vectors, plus the per-row cost-model byte sizes
-/// (8-byte row header + value sizes — the same annotation
-/// `Dataset::row_sizes` carries), always computed at batch creation.
+/// (8-byte row header + value sizes, i.e. RowSizeBytes of each row), always
+/// computed when the row enters a batch.
 struct ColumnBatch {
   size_t num_rows = 0;
   std::vector<ColumnVector> columns;
@@ -220,9 +224,19 @@ struct ColumnBatch {
   }
 };
 
-/// A node-partitioned batch collection — the columnar analogue of Dataset.
-/// Each partition is a sequence of batches; batch boundaries within a
-/// partition carry no semantics (concatenation order defines row order).
+/// Appends every row of `batches`, in order, to `out`.
+inline void AppendRowsOf(const std::vector<ColumnBatch>& batches,
+                         std::vector<Row>* out) {
+  for (const ColumnBatch& b : batches) {
+    for (size_t i = 0; i < b.num_rows; ++i) out->push_back(b.RowAt(i));
+  }
+}
+
+/// A node-partitioned batch collection: every operator's input and output.
+/// Columns carry fully qualified names ("ss.ss_item_sk"), kept through
+/// materialization so reconstruction needs no renaming. Batch boundaries
+/// within a partition carry no semantics (concatenation order is row
+/// order).
 struct ColumnarDataset {
   std::vector<std::string> columns;
   std::vector<std::vector<ColumnBatch>> partitions;
@@ -251,31 +265,42 @@ struct ColumnarDataset {
     for (const ColumnBatch& b : partitions[p]) n += b.num_rows;
     return n;
   }
+
+  /// RowSizeBytes summed over every row.
+  uint64_t TotalBytes() const {
+    uint64_t bytes = 0;
+    for (const auto& p : partitions) {
+      for (const ColumnBatch& b : p) {
+        for (uint64_t s : b.row_sizes) bytes += s;
+      }
+    }
+    return bytes;
+  }
+
+  /// All rows in partition order (result delivery).
+  std::vector<Row> GatherRows() const {
+    std::vector<Row> out;
+    out.reserve(NumRows());
+    for (const auto& p : partitions) AppendRowsOf(p, &out);
+    return out;
+  }
 };
 
-/// Builds one batch from `n` rows starting at `rows`, inferring one
-/// ColumnKind per column (kValues when a column mixes value types). When
-/// `sizes` is non-null it must hold RowSizeBytes for each row (a producer's
-/// annotation) and is copied; otherwise sizes are computed from the values.
-ColumnBatch BatchFromRows(const Row* rows, const uint64_t* sizes, size_t n,
-                          size_t num_columns);
+/// An empty batch whose columns take values of `types` (kNull: kInt64).
+/// AppendRowToBatch adds `row` with its RowSizeBytes `row_size`; a value of
+/// another type than its column's promotes the column to kValues.
+ColumnBatch EmptyBatch(const std::vector<ValueType>& types);
+void AppendRowToBatch(ColumnBatch* batch, const Row& row, uint64_t row_size);
 
-/// Builds one batch holding only the `num_keep` source column slots in
-/// `keep`, in that order (the scan's projection pushdown, straight into
-/// columnar form). row_sizes are the *projected* sizes: 8-byte row header
-/// plus each kept value's cost-model size — exactly the annotation the row
-/// scan emits.
-ColumnBatch BatchFromRowsProjected(const Row* rows, size_t n, const int* keep,
-                                   size_t num_keep);
+/// Builds one batch from `n` rows starting at `rows` (kValues for a column
+/// that mixes value types), computing each row's RowSizeBytes.
+ColumnBatch BatchFromRows(const Row* rows, size_t n, size_t num_columns);
 
-/// Splits every partition of `data` into batches of at most
-/// `max_batch_size` rows. Row order and the row_sizes annotation (computed
-/// when absent) are preserved exactly.
+/// Test bridges to the row Dataset of the reference kernels. FromDataset
+/// splits every partition into batches of at most `max_batch_size` rows;
+/// ToDataset converts back with the row_sizes annotation. Row order is
+/// preserved both ways.
 ColumnarDataset FromDataset(const Dataset& data, size_t max_batch_size);
-
-/// Converts back to a row Dataset (the materialization boundary), emitting
-/// the row_sizes annotation from the batches' sizes. Exact inverse of
-/// FromDataset up to batch boundaries.
 Dataset ToDataset(ColumnarDataset&& data);
 
 }  // namespace dynopt

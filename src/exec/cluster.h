@@ -316,6 +316,18 @@ struct ClusterConfig {
   IntrospectionConfig introspection;
 };
 
+/// The admission leg of ValidateClusterConfig; AdmissionController checks
+/// it on every Admit.
+inline Status ValidateAdmissionConfig(const AdmissionConfig& config) {
+  if (config.max_concurrent_queries < 1) {
+    return Status::InvalidArgument(
+        "ClusterConfig.admission.max_concurrent_queries must be >= 1 (got " +
+        std::to_string(config.max_concurrent_queries) +
+        "); zero slots would refuse every query");
+  }
+  return Status::OK();
+}
+
 /// Structural validation of a ClusterConfig, run when a JobExecutor is
 /// constructed (i.e. before any kernel touches the values); the executor
 /// returns a failure from every job it is asked to run. Returns
@@ -332,12 +344,7 @@ inline Status ValidateClusterConfig(const ClusterConfig& config) {
         "ClusterConfig.exec.max_batch_size must be >= 1 (got 0); a zero "
         "batch capacity underflows the vectorized engine's chunking math");
   }
-  if (config.admission.max_concurrent_queries < 1) {
-    return Status::InvalidArgument(
-        "ClusterConfig.admission.max_concurrent_queries must be >= 1 (got " +
-        std::to_string(config.admission.max_concurrent_queries) +
-        "); zero slots would refuse every query");
-  }
+  DYNOPT_RETURN_IF_ERROR(ValidateAdmissionConfig(config.admission));
   if (config.watchdog.enabled && config.watchdog.poll_interval_seconds <= 0) {
     return Status::InvalidArgument(
         "ClusterConfig.watchdog.poll_interval_seconds must be > 0 when the "

@@ -32,22 +32,18 @@ inline int LinearColumnIndex(const std::vector<std::string>& columns,
   return -1;
 }
 
-/// A node-partitioned rowset: the result of a job (converted from the
-/// executor's column batches at the root) and the input of Materialize.
-/// Columns carry fully qualified names ("ss.ss_item_sk"); intermediate
-/// results keep the qualified names of their inputs so reconstruction of
-/// the remaining query needs no renaming.
+/// A node-partitioned rowset: the data format of the seed reference kernels
+/// (exec/reference_kernels.h), the executor's test oracle. Tests convert
+/// between it and the executor's ColumnarDataset with FromDataset /
+/// ToDataset (exec/batch.h). Columns carry fully qualified names, as in
+/// ColumnarDataset.
 struct Dataset {
   std::vector<std::string> columns;
   std::vector<std::vector<Row>> partitions;
 
   /// Optional per-row byte sizes, parallel to `partitions`: when non-empty,
   /// row_sizes[p][i] == RowSizeBytes(partitions[p][i]). ToDataset carries
-  /// the batches' annotation over, so Materialize and FromDataset meter
-  /// from this 8-byte-per-row array instead of re-walking each row's
-  /// payload. Producers that cannot maintain the invariant must leave it
-  /// empty — consumers validate shape via HasRowSizes() and fall back to
-  /// computing sizes.
+  /// the batches' annotation over, so tests can check it.
   std::vector<std::vector<uint64_t>> row_sizes;
 
   Dataset() = default;
@@ -76,15 +72,7 @@ struct Dataset {
     return n;
   }
 
-  uint64_t TotalBytes() const {
-    uint64_t b = 0;
-    for (const auto& p : partitions) {
-      for (const auto& row : p) b += RowSizeBytes(row);
-    }
-    return b;
-  }
-
-  /// All rows concatenated (result delivery / tests).
+  /// All rows concatenated.
   std::vector<Row> GatherRows() const {
     std::vector<Row> out;
     out.reserve(NumRows());

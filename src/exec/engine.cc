@@ -21,7 +21,7 @@ Status Engine::CollectBaseStats(const std::string& table,
     builders.emplace_back(columns, indices, options);
   }
   pool_.ParallelFor(num_parts, [&](size_t p) {
-    for (const Row& row : t->partition(p)) builders[p].AddRow(row);
+    for (const ColumnBatch& b : t->batches(p)) builders[p].AddBatch(b);
   });
   TableStatsBuilder merged(columns, indices, options);
   for (const auto& b : builders) merged.Merge(b);

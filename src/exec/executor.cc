@@ -258,12 +258,8 @@ Result<JobResult> JobExecutor::Execute(
   registry_->counter("exec.jobs")->Increment();
   JobResult result;
   result.metrics.num_jobs = 1;
-  // The operator tree runs over column batches; the result converts to
-  // rows at the root (the materialization boundary — Materialize, DRB serde
-  // and result delivery stay row-oriented).
-  DYNOPT_ASSIGN_OR_RETURN(ColumnarDataset columnar,
+  DYNOPT_ASSIGN_OR_RETURN(result.data,
                           ExecNode(root, params, &result.metrics));
-  result.data = ToDataset(std::move(columnar));
   result.metrics.rows_out = result.data.NumRows();
   if (ReadsOnlySystemTables(root)) {
     result.metrics.simulated_seconds = 0;
@@ -316,18 +312,17 @@ Result<ColumnarDataset> JobExecutor::ExecScan(const PlanNode& node,
   std::vector<uint64_t> bytes_in(num_parts, 0);
   std::vector<uint64_t> rows_in(num_parts, 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
-    const auto& rows = table->partition(p);
     auto& batches = out.partitions[p];
-    batches.reserve(rows.size() / batch_cap + 1);
-    uint64_t bytes = 0;
-    for (const Row& row : rows) bytes += RowSizeBytesInline(row);
-    for (size_t start = 0; start < rows.size(); start += batch_cap) {
-      const size_t m = std::min(batch_cap, rows.size() - start);
-      batches.push_back(BatchFromRowsProjected(rows.data() + start, m,
-                                               keep.data(), keep.size()));
+    for (const ColumnBatch& stored : table->batches(p)) {
+      // A stored batch longer than the batch capacity is cut to size.
+      for (size_t start = 0; start < stored.num_rows; start += batch_cap) {
+        const size_t m = std::min(batch_cap, stored.num_rows - start);
+        batches.push_back(
+            SliceColumns(stored, start, m, keep.data(), keep.size()));
+      }
+      for (uint64_t s : stored.row_sizes) bytes_in[p] += s;
+      rows_in[p] += stored.num_rows;
     }
-    bytes_in[p] = bytes;
-    rows_in[p] = rows.size();
   });
 
   uint64_t total_bytes = 0, total_rows = 0;
@@ -738,9 +733,9 @@ Status JobExecutor::GraceJoinPartition(
     const uint64_t next_salt = Mix64(
         salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
     Status st = GraceJoinPartition(
-        BatchFromRows(sub_build->data(), nullptr, sub_build->size(),
+        BatchFromRows(sub_build->data(), sub_build->size(),
                       build.columns.size()),
-        BatchFromRows(sub_probe->data(), nullptr, sub_probe->size(),
+        BatchFromRows(sub_probe->data(), sub_probe->size(),
                       probe.columns.size()),
         build_keys, probe_keys, depth + 1, next_salt, part, work, sink,
         stats);
@@ -1251,29 +1246,31 @@ Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
   std::vector<uint64_t> matched_bytes(n, 0);
   std::vector<uint64_t> lookups(n, 0);
   pool_->ParallelFor(n, [&](size_t p) {
-    const auto& inner_rows = inner->partition(p);
-    // Matches as (outer row, projected inner row) pairs, emitted one output
-    // batch at a time: outer columns gathered, inner columns built from the
-    // row-stored table.
+    const std::vector<ColumnBatch>& stored = inner->batches(p);
+    // Matches as (outer row, stored batch, row in it) triples, emitted one
+    // output batch at a time: outer columns gathered from the flat outer,
+    // inner columns gathered from the stored batches.
     std::vector<uint32_t> outer_sel;
-    std::vector<Row> inner_matched;
+    std::vector<std::pair<size_t, uint32_t>> inner_at;
     auto emit = [&]() {
       if (outer_sel.empty()) return;
       ColumnBatch joined =
           GatherBatch(outer_flat, outer_sel.data(), outer_sel.size());
-      ColumnBatch inner_part =
-          BatchFromRows(inner_matched.data(), nullptr, inner_matched.size(),
-                        inner_keep.size());
-      for (ColumnVector& col : inner_part.columns) {
+      for (int k : inner_keep) {
+        ColumnVector col;
+        for (const auto& [b, r] : inner_at) {
+          AppendGatherColumn(&col, stored[b].columns[static_cast<size_t>(k)],
+                             &r, 1);
+        }
+        // Joined-row size: both payloads, one 8-byte header.
+        for (size_t i = 0; i < joined.num_rows; ++i) {
+          joined.row_sizes[i] += col.SizeAt(i);
+        }
         joined.columns.push_back(std::move(col));
-      }
-      // Joined-row size: both payloads, one 8-byte header.
-      for (size_t i = 0; i < joined.num_rows; ++i) {
-        joined.row_sizes[i] += inner_part.row_sizes[i] - 8;
       }
       out.partitions[p].push_back(std::move(joined));
       outer_sel.clear();
-      inner_matched.clear();
+      inner_at.clear();
     };
     uint64_t local_matched_bytes = 0;
     for (size_t j = 0; j < outer_keys.size(); ++j) {
@@ -1283,15 +1280,10 @@ Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
       const std::vector<uint32_t>* offsets = index->Lookup(p, key);
       if (offsets == nullptr) continue;
       for (uint32_t off : *offsets) {
-        const Row& inner_row = inner_rows[off];
-        local_matched_bytes += RowSizeBytes(inner_row);
-        Row projected;
-        projected.reserve(inner_keep.size());
-        for (int k : inner_keep) {
-          projected.push_back(inner_row[static_cast<size_t>(k)]);
-        }
+        const auto [b, r] = inner->Locate(p, off);
+        local_matched_bytes += stored[b].row_sizes[r];
         outer_sel.push_back(static_cast<uint32_t>(j));
-        inner_matched.push_back(std::move(projected));
+        inner_at.emplace_back(b, static_cast<uint32_t>(r));
         if (outer_sel.size() == batch_cap) emit();
       }
     }
@@ -1312,7 +1304,7 @@ Result<ColumnarDataset> JobExecutor::ExecIndexNestedLoopJoin(
   return out;
 }
 Result<SinkResult> JobExecutor::Materialize(
-    Dataset&& data, const std::string& prefix,
+    ColumnarDataset&& data, const std::string& prefix,
     const std::vector<std::string>& stats_columns, bool collect_stats,
     ExecMetrics* metrics, const std::vector<std::string>* sketch_columns) {
   DYNOPT_RETURN_IF_ERROR(valid_);
@@ -1320,35 +1312,19 @@ Result<SinkResult> JobExecutor::Materialize(
   TraceSpan span("materialize", "kernel");
   const auto wall_start = WallClock::now();
   // Build the temp table schema: stored column names are the (already
-  // qualified) dataset column names; types are inferred from data in one
-  // parallel pass that fills every column's type at once (first non-NULL
-  // value in partition-then-row order), instead of rescanning the dataset
-  // once per column.
+  // qualified) dataset column names; a column's type is that of its first
+  // non-NULL value in partition-then-row order (kNull when there is none).
   const size_t num_cols = data.columns.size();
   const size_t num_parts = data.partitions.size();
-  std::vector<std::vector<ValueType>> part_types(
-      num_parts, std::vector<ValueType>(num_cols, ValueType::kNull));
-  pool_->ParallelFor(num_parts, [&](size_t p) {
-    auto& types = part_types[p];
-    size_t unresolved = num_cols;
-    for (const Row& row : data.partitions[p]) {
-      if (unresolved == 0) break;
-      for (size_t c = 0; c < num_cols; ++c) {
-        if (types[c] == ValueType::kNull && !row[c].is_null()) {
-          types[c] = row[c].type();
-          --unresolved;
-        }
-      }
-    }
-  });
   std::vector<Field> fields;
   fields.reserve(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
     ValueType type = ValueType::kNull;
-    for (size_t p = 0; p < num_parts; ++p) {
-      if (part_types[p][c] != ValueType::kNull) {
-        type = part_types[p][c];
-        break;
+    for (size_t p = 0; p < num_parts && type == ValueType::kNull; ++p) {
+      for (const ColumnBatch& b : data.partitions[p]) {
+        for (size_t i = 0; i < b.num_rows && type == ValueType::kNull; ++i) {
+          type = b.columns[c].ValueAt(i).type();
+        }
       }
     }
     fields.push_back(Field{data.columns[c], type});
@@ -1373,32 +1349,18 @@ Result<SinkResult> JobExecutor::Materialize(
   for (size_t p = 0; p < num_parts; ++p) {
     builders.emplace_back(stat_names, stat_indices);
   }
-  const bool has_sizes = data.HasRowSizes();
   std::vector<uint64_t> part_bytes(num_parts, 0);
   pool_->ParallelFor(num_parts, [&](size_t p) {
-    uint64_t bytes = 0;
-    if (has_sizes) {
-      // Sum the producer's size annotation instead of re-walking payloads.
-      for (uint64_t b : data.row_sizes[p]) bytes += b;
-      if (collect_stats) {
-        for (const Row& row : data.partitions[p]) builders[p].AddRow(row);
-      }
-    } else {
-      for (const Row& row : data.partitions[p]) {
-        bytes += RowSizeBytes(row);
-        if (collect_stats) builders[p].AddRow(row);
-      }
+    for (const ColumnBatch& b : data.partitions[p]) {
+      for (uint64_t s : b.row_sizes) part_bytes[p] += s;
+      if (collect_stats) builders[p].AddBatch(b);
     }
-    part_bytes[p] = bytes;
   });
-  // Sequential append preserves the partition layout.
-  uint64_t total_bytes = 0, total_rows = 0;
-  for (size_t p = 0; p < num_parts; ++p) {
-    total_bytes += part_bytes[p];
-    total_rows += data.partitions[p].size();
-  }
+  const uint64_t total_rows = data.NumRows();
+  uint64_t total_bytes = 0;
+  for (uint64_t b : part_bytes) total_bytes += b;
   // Account the sink buffer against the query tracker while it is resident
-  // here (released once the rows are handed to the catalog).
+  // here (released once the batches are handed to the catalog).
   MemoryReservation sink_mem(ctx_ != nullptr ? &ctx_->memory() : nullptr);
   sink_mem.GrowUnchecked(total_bytes);
   // Fault overlay for the sink write stage, applied before anything is
@@ -1433,19 +1395,20 @@ Result<SinkResult> JobExecutor::Materialize(
     pool_->ParallelFor(num_parts, [&](size_t p) {
       std::string path = cluster_.spill_directory + "/" + name + ".p" +
                          std::to_string(p) + ".rows";
+      std::vector<Row> rows;
+      AppendRowsOf(data.partitions[p], &rows);
       Status st;
       for (int attempt = 0;; ++attempt) {
-        st = WriteRowsFile(path, data.partitions[p]);
+        st = WriteRowsFile(path, rows);
         if (!st.ok()) break;
         if (inject && faults_->CorruptsBlock(mat_stage, p, attempt)) {
           (void)CorruptByteInFile(path,
                                   faults_->CorruptionOffset(mat_stage, p));
         }
+        // The verify read: a clean read-back holds exactly `rows`, which
+        // the partition's batches already hold.
         auto back = ReadRowsFile(path);
-        if (back.ok()) {
-          data.partitions[p] = std::move(back).value();
-          break;
-        }
+        if (back.ok()) break;
         st = back.status();
         if (st.code() != StatusCode::kDataCorruption) break;
         ++part_corrupted[p];
@@ -1506,7 +1469,7 @@ Result<SinkResult> JobExecutor::Materialize(
 
   // Online join-key sketches (predicate transfer): per-partition builders
   // merged into one dataset-level sketch per column, registered under the
-  // temp name. Runs before the rows are moved into the catalog below.
+  // temp name. Runs before the batches are moved into the table below.
   std::vector<int> sketch_indices;
   std::vector<std::string> sketch_names;
   if (sketches_ != nullptr && sketch_columns != nullptr) {
@@ -1534,18 +1497,9 @@ Result<SinkResult> JobExecutor::Materialize(
       }
     }
     pool_->ParallelFor(num_parts, [&](size_t p) {
-      for (const Row& row : data.partitions[p]) {
+      for (const ColumnBatch& b : data.partitions[p]) {
         for (size_t c = 0; c < num_sketch; ++c) {
-          JoinKeySketch& sk = shards[p][c];
-          ++sk.rows;
-          const int key_index[1] = {sketch_indices[c]};
-          if (row[static_cast<size_t>(key_index[0])].is_null()) {
-            ++sk.null_keys;
-            continue;
-          }
-          const uint64_t h = HashRowKeyInline(row, key_index, 1);
-          sk.bloom.Insert(h);
-          sk.agms.Update(h);
+          shards[p][c].AddKeyColumn(b, sketch_indices[c]);
         }
       }
     });
@@ -1572,10 +1526,7 @@ Result<SinkResult> JobExecutor::Materialize(
   // Load partition-faithfully so the producing node's placement (and any
   // skew) survives materialization.
   for (size_t p = 0; p < num_parts; ++p) {
-    for (Row& row : data.partitions[p]) {
-      table->AppendRowToPartition(p, std::move(row));
-    }
-    data.partitions[p].clear();
+    table->AppendBatches(p, std::move(data.partitions[p]));
   }
 
   DYNOPT_RETURN_IF_ERROR(catalog_->RegisterTable(table));

@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "exec/batch.h"
 #include "exec/cluster.h"
-#include "exec/dataset.h"
 #include "exec/fault_injector.h"
 #include "exec/job.h"
 #include "exec/join_hash_table.h"
@@ -30,7 +29,7 @@ class BatchSink;
 
 /// Output of running one job.
 struct JobResult {
-  Dataset data;
+  ColumnarDataset data;
   ExecMetrics metrics;
 };
 
@@ -54,9 +53,9 @@ struct ColumnarShuffleResult {
 /// and every unit of work (bytes scanned/shuffled/broadcast/materialized,
 /// tuples, index lookups, spilled bytes) is metered and converted to
 /// simulated seconds under the ClusterConfig cost model. Per pipeline
-/// stage, simulated time is max-over-nodes. Row `Dataset`s appear only
-/// where storage is row-based: the scanned tables, the job result, the
-/// Materialize sink and the grace join's spill files.
+/// stage, simulated time is max-over-nodes. Tables store batches too: a
+/// scan slices them and Materialize moves its input's batches into the
+/// temp table. Rows appear only in the checksummed DRB spill files.
 ///
 /// The data-movement kernels (RepartitionColumnar / LocalHashJoinColumnar)
 /// are public: tests compare them against the sequential reference
@@ -105,16 +104,16 @@ class JobExecutor {
   Result<JobResult> Execute(const PlanNode& root,
                             const std::map<std::string, Value>& params);
 
-  /// The Sink operator: writes `data` to a fresh temp table in the catalog,
-  /// optionally collecting online statistics on `stats_columns` (qualified
-  /// names). Charges materialization I/O and the per-reopt fixed cost to
-  /// `metrics->reopt_seconds` and stats collection to
-  /// `metrics->stats_seconds` (both included in simulated_seconds).
-  Result<SinkResult> Materialize(Dataset&& data, const std::string& prefix,
-                                 const std::vector<std::string>& stats_columns,
-                                 bool collect_stats, ExecMetrics* metrics,
-                                 const std::vector<std::string>*
-                                     sketch_columns = nullptr);
+  /// The Sink operator: moves `data`'s batches into a fresh temp table in
+  /// the catalog, optionally collecting online statistics on
+  /// `stats_columns` (qualified names). Charges materialization I/O and
+  /// the per-reopt fixed cost to `metrics->reopt_seconds` and stats
+  /// collection to `metrics->stats_seconds` (both in simulated_seconds).
+  Result<SinkResult> Materialize(
+      ColumnarDataset&& data, const std::string& prefix,
+      const std::vector<std::string>& stats_columns, bool collect_stats,
+      ExecMetrics* metrics,
+      const std::vector<std::string>* sketch_columns = nullptr);
 
   /// Hash-repartitions `input` on `key_indices` into the cluster's node
   /// count, metering network traffic. Two-phase exchange: phase 1
@@ -147,8 +146,8 @@ class JobExecutor {
   const ClusterConfig& cluster() const { return cluster_; }
 
  private:
-  /// The operator tree. Scans slice the row-stored tables into batches;
-  /// every other operator consumes and produces batches.
+  /// The operator tree: every operator consumes and produces batches;
+  /// scans slice the stored ones.
   Result<ColumnarDataset> ExecNode(const PlanNode& node,
                                    const std::map<std::string, Value>& params,
                                    ExecMetrics* metrics);
@@ -163,8 +162,8 @@ class JobExecutor {
                                    const std::map<std::string, Value>& params,
                                    ExecMetrics* metrics);
   /// Broadcasts the outer (child 0) to every node, where each row probes
-  /// the row-stored inner table's SecondaryIndex; matches are gathered
-  /// into batches of outer columns ++ the inner scan's projected columns.
+  /// the inner table's SecondaryIndex; matches are gathered into batches of
+  /// outer columns ++ the inner scan's projected columns.
   Result<ColumnarDataset> ExecIndexNestedLoopJoin(
       const PlanNode& node, const std::map<std::string, Value>& params,
       ExecMetrics* metrics);

@@ -1,6 +1,7 @@
 #include "exec/vector_kernels.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "plan/udf.h"
 
@@ -11,7 +12,7 @@ namespace {
 constexpr uint64_t kNullValueHash = 0x9ae16a3b2f90404fULL;
 
 /// Combines one column's per-row value hashes into the accumulator `out`
-/// (column-at-a-time leg of HashRowKeyInline), recording NULLs.
+/// (column-at-a-time leg of HashRowKey), recording NULLs.
 void CombineColumnHash(const ColumnVector& col, size_t n, uint64_t* out,
                        uint8_t* key_null) {
   const bool nullable = !col.validity.empty();
@@ -142,24 +143,6 @@ inline const std::string* StringAt(const ColumnVector& col, size_t i) {
     return &col.values[i].AsStringUnchecked();
   }
   return nullptr;
-}
-
-/// Converts an existing typed column to the kValues fallback in place
-/// (kind-mismatch promotion during multi-source appends).
-void PromoteToValues(ColumnVector* col) {
-  if (col->kind == ColumnKind::kValues) return;
-  const size_t n = col->size();
-  std::vector<Value> values;
-  values.reserve(n);
-  for (size_t i = 0; i < n; ++i) values.push_back(col->ValueAt(i));
-  col->kind = ColumnKind::kValues;
-  col->values = std::move(values);
-  col->i64.clear();
-  col->f64.clear();
-  col->b8.clear();
-  col->codes.clear();
-  col->dict.reset();
-  col->validity.clear();
 }
 
 /// An exact reserve() on every append would defeat std::vector's geometric
@@ -314,6 +297,25 @@ ColumnBatch GatherBatch(const ColumnBatch& src, const uint32_t* sel,
   return out;
 }
 
+ColumnBatch SliceColumns(const ColumnBatch& src, size_t start, size_t n,
+                         const int* keep, size_t num_keep) {
+  std::vector<uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(start));
+  std::vector<int> slots(num_keep);
+  std::iota(slots.begin(), slots.end(), 0);
+  ColumnBatch out;
+  out.num_rows = n;
+  out.columns.resize(num_keep);
+  for (size_t k = 0; k < num_keep; ++k) {
+    AppendGatherColumn(&out.columns[k],
+                       src.columns[static_cast<size_t>(keep[k])], rows.data(),
+                       n);
+  }
+  out.row_sizes.resize(n);
+  ProjectedRowSizes(out, slots.data(), num_keep, out.row_sizes.data());
+  return out;
+}
+
 void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
                         const uint32_t* sel, size_t n) {
   if (n == 0) return;
@@ -325,7 +327,7 @@ void AppendGatherColumn(ColumnVector* dst, const ColumnVector& src,
     dst->validity.clear();
     dst->values.clear();
   }
-  if (dst->kind != src.kind) PromoteToValues(dst);
+  if (dst->kind != src.kind) dst->PromoteToValues();
   if (dst->kind == ColumnKind::kValues) {
     ReserveAppend(&dst->values, old_rows + n);
     if (src.kind == ColumnKind::kValues) {

@@ -25,7 +25,7 @@ class UdfRegistry;
 /// simulated seconds byte-for-byte equal to the seed reference kernels.
 
 /// Combined key hash of every row of `batch` into `out`, bit-identical to
-/// HashRowKeyInline(row, keys): seeded, then HashCombine of each key
+/// HashRowKey(row, keys): seeded, then HashCombine of each key
 /// column's value hash, column-at-a-time. `key_null[i]` is set to 1 when
 /// any key of row i is NULL (left untouched otherwise — callers zero it).
 /// Both arrays must hold batch.num_rows elements.
@@ -70,6 +70,13 @@ void ProjectedRowSizes(const ColumnBatch& batch, const int* keep,
 /// half of the filter kernel.
 ColumnBatch GatherBatch(const ColumnBatch& src, const uint32_t* sel,
                         size_t n);
+
+/// Rows [start, start + n) of `src`, keeping only the `num_keep` column
+/// slots in `keep`, in that order (the scan's slice of a stored batch, with
+/// projection pushdown). String columns share the source dictionary;
+/// row_sizes are the projected sizes (ProjectedRowSizes).
+ColumnBatch SliceColumns(const ColumnBatch& src, size_t start, size_t n,
+                         const int* keep, size_t num_keep);
 
 /// Concatenates all batches of one partition into a single batch (used by
 /// the join build side so hash-table entries index a flat row space).

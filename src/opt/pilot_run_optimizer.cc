@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "exec/vector_kernels.h"
 #include "opt/error_stats.h"
 #include "opt/finalize.h"
 #include "opt/plan_builder.h"
@@ -83,35 +84,40 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
         indices.push_back(idx);
       }
     }
-    // Bind this alias's local predicates against raw table rows.
-    BoundExprPtr bound;
+    // This alias's local predicates, compiled against the stored columns
+    // under their qualified names (as the executor's filter sees them).
     ExprPtr predicate = CombineConjuncts(spec.PredicatesFor(ref.alias));
+    VecPredicate filter;
     if (predicate != nullptr) {
-      BindContext ctx;
-      ctx.resolve_column = [&](const std::string& name) {
-        if (name.rfind(prefix, 0) == 0) {
-          return table->schema().FieldIndex(name.substr(prefix.size()));
-        }
-        return table->schema().FieldIndex(name);
-      };
-      ctx.params = &spec.params;
-      ctx.udfs = &engine_->udfs();
-      DYNOPT_ASSIGN_OR_RETURN(bound, Bind(predicate, ctx));
+      std::vector<std::string> columns;
+      for (const Field& f : table->schema().fields()) {
+        columns.push_back(prefix + f.name);
+      }
+      DYNOPT_ASSIGN_OR_RETURN(
+          filter, VecPredicate::Compile(predicate, columns, &spec.params,
+                                        &engine_->udfs()));
     }
 
     TableStatsBuilder builder(names, indices);
+    const uint64_t limit = options_.sample_limit;
     uint64_t scanned = 0, matched = 0, scanned_bytes = 0;
-    for (size_t p = 0; p < table->num_partitions() &&
-                       matched < options_.sample_limit;
-         ++p) {
-      for (const Row& row : table->partition(p)) {
-        ++scanned;
-        scanned_bytes += RowSizeBytes(row);
-        if (bound == nullptr || bound->EvalBool(row)) {
-          ++matched;
-          builder.AddRow(row);
-          if (matched >= options_.sample_limit) break;
+    std::vector<uint8_t> keep;
+    std::vector<uint32_t> sel;
+    for (size_t p = 0; p < table->num_partitions() && matched < limit; ++p) {
+      for (const ColumnBatch& b : table->batches(p)) {
+        if (matched >= limit) break;
+        if (predicate != nullptr) filter.EvalBools(b, &keep);
+        // Rows are scanned in order until the sample is full.
+        sel.clear();
+        for (size_t i = 0; i < b.num_rows && matched < limit; ++i) {
+          ++scanned;
+          scanned_bytes += b.row_sizes[i];
+          if (predicate == nullptr || keep[i]) {
+            ++matched;
+            sel.push_back(static_cast<uint32_t>(i));
+          }
         }
+        builder.AddBatch(GatherBatch(b, sel.data(), sel.size()));
       }
     }
     // Charge the pilot-run work (it runs cluster-parallel).

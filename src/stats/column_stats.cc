@@ -46,7 +46,7 @@ std::string ColumnStatsSnapshot::ToString() const {
 ColumnStatsBuilder::ColumnStatsBuilder(const StatsOptions& options)
     : options_(options), gk_(kGkEpsilon), hll_(kHllPrecision) {}
 
-void ColumnStatsBuilder::Add(const Value& v) {
+void ColumnStatsBuilder::Add(const Value& v, uint64_t hash) {
   ++count_;
   if (v.is_null()) {
     ++null_count_;
@@ -54,7 +54,7 @@ void ColumnStatsBuilder::Add(const Value& v) {
   }
   if (min_value_.is_null() || v < min_value_) min_value_ = v;
   if (max_value_.is_null() || v > max_value_) max_value_ = v;
-  hll_.Add(v.Hash());
+  hll_.Add(hash);
   gk_.Insert(v.NumericKey());
 }
 

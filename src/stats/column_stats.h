@@ -43,7 +43,9 @@ class ColumnStatsBuilder {
  public:
   explicit ColumnStatsBuilder(const StatsOptions& options = StatsOptions());
 
-  void Add(const Value& v);
+  void Add(const Value& v) { Add(v, v.Hash()); }
+  /// `hash` is v.Hash(), e.g. a batch column's cached HashAt.
+  void Add(const Value& v, uint64_t hash);
   void Merge(const ColumnStatsBuilder& other);
   ColumnStatsSnapshot Finalize() const;
 

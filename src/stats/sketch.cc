@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/vector_kernels.h"
+
 namespace dynopt {
 
 namespace {
@@ -123,6 +125,23 @@ bool FastAgmsSketch::MergeFrom(const FastAgmsSketch& other) {
   }
   total_count_ += other.total_count_;
   return true;
+}
+
+// ---- JoinKeySketch ------------------------------------------------------
+
+void JoinKeySketch::AddKeyColumn(const ColumnBatch& batch, int column) {
+  std::vector<uint64_t> hashes(batch.num_rows);
+  std::vector<uint8_t> key_null(batch.num_rows, 0);
+  HashKeyColumns(batch, &column, 1, hashes.data(), key_null.data());
+  rows += batch.num_rows;
+  for (size_t i = 0; i < batch.num_rows; ++i) {
+    if (key_null[i]) {
+      ++null_keys;
+      continue;
+    }
+    bloom.Insert(hashes[i]);
+    agms.Update(hashes[i]);
+  }
 }
 
 // ---- SketchManager ------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/batch.h"
+
 namespace dynopt {
 
 /// Predicate-transfer sketches ("Online Sketch-based Query Optimization"):
@@ -18,7 +20,7 @@ namespace dynopt {
 /// can be combined into one dataset-level sketch.
 ///
 /// Every operation consumes a precomputed 64-bit key hash — the executor
-/// hashes values with the same HashRowKeyInline/HashKeyColumns functions the
+/// hashes values with the same HashKeyColumns function the
 /// shuffle uses, so equal keys produce equal hashes on both join sides
 /// regardless of which column carries them.
 
@@ -122,6 +124,10 @@ struct JoinKeySketch {
   FastAgmsSketch agms;
   uint64_t rows = 0;       ///< Rows scanned (including null keys).
   uint64_t null_keys = 0;  ///< Rows whose key was null (never inserted).
+
+  /// Adds every row of `batch` keyed on its slot `column` (NULL keys are
+  /// only counted), hashed like the shuffle (HashKeyColumns).
+  void AddKeyColumn(const ColumnBatch& batch, int column);
 };
 
 /// Thread-safe registry mapping "dataset|column" -> sketch, mirroring

@@ -34,16 +34,25 @@ TableStatsBuilder::TableStatsBuilder(std::vector<std::string> column_names,
 
 void TableStatsBuilder::AddRow(const Row& row) {
   ++row_count_;
-  total_bytes_ += RowSizeBytes(row);
   for (size_t i = 0; i < column_indices_.size(); ++i) {
     builders_[i].Add(row[static_cast<size_t>(column_indices_[i])]);
+  }
+}
+
+void TableStatsBuilder::AddBatch(const ColumnBatch& batch) {
+  row_count_ += batch.num_rows;
+  for (size_t i = 0; i < column_indices_.size(); ++i) {
+    const ColumnVector& col =
+        batch.columns[static_cast<size_t>(column_indices_[i])];
+    for (size_t r = 0; r < batch.num_rows; ++r) {
+      builders_[i].Add(col.ValueAt(r), col.HashAt(r));
+    }
   }
 }
 
 void TableStatsBuilder::Merge(const TableStatsBuilder& other) {
   DYNOPT_CHECK(builders_.size() == other.builders_.size());
   row_count_ += other.row_count_;
-  total_bytes_ += other.total_bytes_;
   for (size_t i = 0; i < builders_.size(); ++i) {
     builders_[i].Merge(other.builders_[i]);
   }
@@ -52,7 +61,6 @@ void TableStatsBuilder::Merge(const TableStatsBuilder& other) {
 TableStats TableStatsBuilder::Finalize() const {
   TableStats stats;
   stats.row_count = row_count_;
-  stats.total_bytes = total_bytes_;
   for (size_t i = 0; i < builders_.size(); ++i) {
     stats.columns[column_names_[i]] = builders_[i].Finalize();
   }

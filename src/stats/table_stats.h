@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "exec/batch.h"
 #include "stats/column_stats.h"
 
 namespace dynopt {
@@ -30,16 +31,20 @@ struct TableStats {
   std::string ToString() const;
 };
 
-/// Streaming, mergeable builder for TableStats: feed rows, naming which row
-/// slots correspond to which stat columns.
+/// Streaming, mergeable builder for TableStats: feed rows or batches,
+/// naming which slots correspond to which stat columns. Finalize leaves
+/// `total_bytes` zero: callers know the dataset's size already.
 class TableStatsBuilder {
  public:
-  /// `column_names[i]` is collected from row position `column_indices[i]`.
+  /// `column_names[i]` is collected from slot `column_indices[i]`.
   TableStatsBuilder(std::vector<std::string> column_names,
                     std::vector<int> column_indices,
                     const StatsOptions& options = StatsOptions());
 
   void AddRow(const Row& row);
+  /// Column by column; each column sees its values in row order, exactly
+  /// as AddRow over the same rows.
+  void AddBatch(const ColumnBatch& batch);
   void Merge(const TableStatsBuilder& other);
   TableStats Finalize() const;
 
@@ -49,7 +54,6 @@ class TableStatsBuilder {
   std::vector<std::string> column_names_;
   std::vector<int> column_indices_;
   uint64_t row_count_ = 0;
-  uint64_t total_bytes_ = 0;
   std::vector<ColumnStatsBuilder> builders_;
 };
 

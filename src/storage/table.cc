@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace dynopt {
@@ -49,7 +51,7 @@ Status Table::SetPartitionKey(const std::vector<std::string>& columns) {
   return Status::OK();
 }
 
-void Table::AppendRow(Row row) {
+void Table::AppendRow(const Row& row) {
   DYNOPT_CHECK(row.size() == schema_.num_fields());
   size_t target;
   if (!partition_key_indices_.empty()) {
@@ -58,17 +60,56 @@ void Table::AppendRow(Row row) {
   } else {
     target = static_cast<size_t>(round_robin_next_++ % partitions_.size());
   }
-  total_bytes_ += RowSizeBytes(row);
-  ++num_rows_;
-  partitions_[target].push_back(std::move(row));
+  AppendRowToPartition(target, row);
 }
 
-void Table::AppendRowToPartition(size_t partition, Row row) {
+void Table::AppendRowToPartition(size_t partition, const Row& row) {
   DYNOPT_CHECK(partition < partitions_.size());
   DYNOPT_CHECK(row.size() == schema_.num_fields());
-  total_bytes_ += RowSizeBytes(row);
+  Partition& part = partitions_[partition];
+  if (!part.appendable || part.batches.back().num_rows == kBatchRows) {
+    std::vector<ValueType> types;
+    for (const Field& f : schema_.fields()) types.push_back(f.type);
+    part.starts.push_back(part.rows);
+    part.batches.push_back(EmptyBatch(types));
+    part.appendable = true;
+  }
+  const uint64_t size = RowSizeBytes(row);
+  AppendRowToBatch(&part.batches.back(), row, size);
+  ++part.rows;
   ++num_rows_;
-  partitions_[partition].push_back(std::move(row));
+  total_bytes_ += size;
+}
+
+void Table::AppendBatches(size_t partition,
+                          std::vector<ColumnBatch> batches) {
+  DYNOPT_CHECK(partition < partitions_.size());
+  Partition& part = partitions_[partition];
+  for (ColumnBatch& b : batches) {
+    if (b.num_rows == 0) continue;
+    DYNOPT_CHECK(b.columns.size() == schema_.num_fields() &&
+                 b.row_sizes.size() == b.num_rows);
+    for (uint64_t s : b.row_sizes) total_bytes_ += s;
+    part.starts.push_back(part.rows);
+    part.rows += b.num_rows;
+    num_rows_ += b.num_rows;
+    part.batches.push_back(std::move(b));
+    part.appendable = false;
+  }
+}
+
+std::vector<Row> Table::partition(size_t p) const {
+  std::vector<Row> rows;
+  AppendRowsOf(partitions_[p].batches, &rows);
+  return rows;
+}
+
+std::pair<size_t, size_t> Table::Locate(size_t p, uint32_t offset) const {
+  const std::vector<uint64_t>& starts = partitions_[p].starts;
+  const size_t b = static_cast<size_t>(
+      std::upper_bound(starts.begin(), starts.end(), offset) -
+      starts.begin() - 1);
+  return {b, static_cast<size_t>(offset - starts[b])};
 }
 
 Status Table::CreateSecondaryIndex(const std::string& column) {
@@ -83,10 +124,12 @@ Status Table::CreateSecondaryIndex(const std::string& column) {
   auto index =
       std::make_unique<SecondaryIndex>(column, idx, partitions_.size());
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    const auto& rows = partitions_[p];
-    for (size_t r = 0; r < rows.size(); ++r) {
-      index->Insert(rows[r][static_cast<size_t>(idx)], p,
-                    static_cast<uint32_t>(r));
+    uint32_t offset = 0;
+    for (const ColumnBatch& b : partitions_[p].batches) {
+      const ColumnVector& col = b.columns[static_cast<size_t>(idx)];
+      for (size_t r = 0; r < b.num_rows; ++r) {
+        index->Insert(col.ValueAt(r), p, offset++);
+      }
     }
   }
   indexes_[column] = std::move(index);

@@ -6,10 +6,12 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
+#include "exec/batch.h"
 #include "storage/schema.h"
 
 namespace dynopt {
@@ -50,11 +52,16 @@ class SecondaryIndex {
       partitions_;
 };
 
-/// A base dataset: rows hash-partitioned across the simulated cluster's
-/// nodes. Immutable after load (the workloads bulk-load then query, as in
-/// the paper's experimental setup).
+/// A base or intermediate dataset, hash-partitioned across the simulated
+/// cluster's nodes. Each partition is a sequence of ColumnBatches, the
+/// executor's own format: appended rows fill batches of kBatchRows rows;
+/// materialized intermediates move whole batches in. Immutable after load
+/// (the workloads bulk-load then query, as in the paper's setup).
 class Table {
  public:
+  /// Rows per batch filled by row appends (the default batch capacity).
+  static constexpr size_t kBatchRows = 1024;
+
   Table(std::string name, Schema schema, size_t num_partitions);
 
   /// Declares the columns rows are hash-partitioned on (typically the
@@ -63,12 +70,16 @@ class Table {
   Status SetPartitionKey(const std::vector<std::string>& columns);
 
   /// Appends one row, routing it to its home partition.
-  void AppendRow(Row row);
+  void AppendRow(const Row& row);
 
-  /// Appends one row to an explicit partition — used when materializing an
-  /// intermediate dataset so the producing node's placement (and thus any
-  /// skew) is preserved.
-  void AppendRowToPartition(size_t partition, Row row);
+  /// Appends one row to an explicit partition, preserving a producer's
+  /// placement (and thus any skew).
+  void AppendRowToPartition(size_t partition, const Row& row);
+
+  /// Moves `batches` (one column per field) to the end of `partition`.
+  /// Later row appends start a fresh batch: moved-in batches may share
+  /// dictionaries with other batches and are never written to.
+  void AppendBatches(size_t partition, std::vector<ColumnBatch> batches);
 
   /// Builds a secondary index over `column` (for the Figure-8 INLJ
   /// experiments). Call after loading completes.
@@ -82,7 +93,13 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t num_partitions() const { return partitions_.size(); }
-  const std::vector<Row>& partition(size_t i) const { return partitions_[i]; }
+  const std::vector<ColumnBatch>& batches(size_t p) const {
+    return partitions_[p].batches;
+  }
+  /// The rows of partition `p` in stored order (tests and tools).
+  std::vector<Row> partition(size_t p) const;
+  /// {batch, row in it} of partition-local row `offset` (as indexed).
+  std::pair<size_t, size_t> Locate(size_t p, uint32_t offset) const;
   const std::vector<std::string>& partition_key() const {
     return partition_key_;
   }
@@ -91,9 +108,16 @@ class Table {
   uint64_t TotalBytes() const { return total_bytes_; }
 
  private:
+  struct Partition {
+    std::vector<ColumnBatch> batches;
+    std::vector<uint64_t> starts;  ///< First partition-local row per batch.
+    uint64_t rows = 0;
+    bool appendable = false;  ///< The last batch was filled by row appends.
+  };
+
   std::string name_;
   Schema schema_;
-  std::vector<std::vector<Row>> partitions_;
+  std::vector<Partition> partitions_;
   std::vector<std::string> partition_key_;
   std::vector<int> partition_key_indices_;
   uint64_t num_rows_ = 0;

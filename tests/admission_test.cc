@@ -1,7 +1,8 @@
 // Admission control under real concurrency (run under TSan in CI):
 //  - N >= 8 queries racing through the controller produce the same rows as
 //    a serial run, with at most max_concurrent_queries in flight at once;
-//  - queue overflow and queue timeout surface kResourceExhausted;
+//  - queue overflow and queue timeout surface kResourceExhausted, and an
+//    invalid config (zero slots) kInvalidArgument without waiting;
 //  - a query cancelled while queued leaves with kCancelled;
 //  - admitted queries carry their queue wait and an engine-parented
 //    memory tracker.
@@ -164,6 +165,23 @@ TEST_F(AdmissionTest, QueueTimeoutIsResourceExhausted) {
   auto result = engine_->admission().Admit(&starved);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine_->admission().queued(), 0);
+}
+
+TEST_F(AdmissionTest, ZeroSlotsIsInvalidArgumentAtOnce) {
+  // Zero slots could never admit anyone: Admit must refuse the config
+  // instead of queueing until the timeout.
+  engine_->mutable_cluster().admission.max_concurrent_queries = 0;
+  engine_->mutable_cluster().admission.queue_timeout_seconds = 0.5;
+  engine_->RearmAdmission();
+
+  QueryContext ctx("no-slots");
+  auto result = engine_->admission().Admit(&ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("max_concurrent_queries"),
+            std::string::npos)
+      << result.status().message();
   EXPECT_EQ(engine_->admission().queued(), 0);
 }
 

@@ -269,7 +269,7 @@ std::string Exact(double v) {
 /// host time and excluded). A failed run records its status instead.
 std::string GoldenRecord(const Result<JobResult>& run) {
   if (!run.ok()) return "status=" + run.status().ToString();
-  const Dataset& data = run->data;
+  const Dataset data = ToDataset(ColumnarDataset(run->data));
   const ExecMetrics& m = run->metrics;
   std::string cols;
   for (const std::string& c : data.columns) cols += (cols.empty() ? "" : ",") + c;
@@ -670,7 +670,8 @@ TEST_F(ColumnarParityTest, SimulatedTimeInvariantUnderBatchSize) {
       first = false;
       continue;
     }
-    ExpectDatasetsEqual(baseline.data, result->data);
+    ExpectDatasetsEqual(ToDataset(ColumnarDataset(baseline.data)),
+                        ToDataset(std::move(result->data)));
     ExpectMetricsEqual(baseline.metrics, result->metrics);
   }
 }

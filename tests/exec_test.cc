@@ -165,7 +165,7 @@ TEST_P(JoinCorrectnessTest, HashAndBroadcastMatchNaive) {
   }
 
   // Oracle.
-  Dataset lscan, rscan;
+  ColumnarDataset lscan, rscan;
   {
     auto lres = Exec(*PlanNode::Scan("lhs", "l"));
     auto rres = Exec(*PlanNode::Scan("rhs", "r"));
@@ -325,8 +325,8 @@ TEST_F(ExecTest, MaterializePreservesDataAndPartitions) {
   auto scan = Exec(*PlanNode::Scan("t", "a"));
   ASSERT_TRUE(scan.ok());
   std::vector<size_t> partition_sizes;
-  for (const auto& p : scan->data.partitions) {
-    partition_sizes.push_back(p.size());
+  for (size_t p = 0; p < scan->data.partitions.size(); ++p) {
+    partition_sizes.push_back(scan->data.PartitionRows(p));
   }
   std::vector<Row> original = scan->data.GatherRows();
 
@@ -375,6 +375,67 @@ TEST_F(ExecTest, MaterializeWithoutStatsStillRecordsCardinality) {
   const TableStats* stats = engine_->stats().Get(sink->table_name);
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->row_count, 200u);
+}
+
+TEST_F(ExecTest, ColumnWiseOnlineStatsMatchRowBuilderExactly) {
+  // Integers, strings, doubles and a column with NULLs, spread over every
+  // partition and across several stored batches per partition.
+  auto t = std::make_shared<Table>(
+      "s",
+      Schema({{"k", ValueType::kInt64},
+              {"name", ValueType::kString},
+              {"score", ValueType::kDouble},
+              {"maybe", ValueType::kInt64}}),
+      engine_->cluster().num_nodes);
+  ASSERT_TRUE(t->SetPartitionKey({"k"}).ok());
+  Rng rng(52);
+  for (int i = 0; i < 9000; ++i) {
+    const int64_t k = rng.NextInt64(0, 2999);
+    t->AppendRow({Value(k), Value("n" + std::to_string(k % 97)),
+                  Value(static_cast<double>(rng.NextInt64(0, 100000)) / 7.0),
+                  i % 5 == 0 ? Value::Null() : Value(rng.NextInt64(0, 50))});
+  }
+  ASSERT_TRUE(engine_->catalog().RegisterTable(t).ok());
+  auto scan = Exec(*PlanNode::Scan("s", "a"));
+  ASSERT_TRUE(scan.ok());
+  const Dataset rows = ToDataset(ColumnarDataset(scan->data));
+
+  // The row builder over the same rows in the same order: one builder per
+  // partition, merged in partition order, as Materialize merges.
+  const std::vector<std::string> names = {"a.k", "a.name", "a.score",
+                                          "a.maybe"};
+  const std::vector<int> slots = {0, 1, 2, 3};
+  TableStatsBuilder merged(names, slots);
+  for (const auto& part : rows.partitions) {
+    TableStatsBuilder builder(names, slots);
+    for (const Row& row : part) builder.AddRow(row);
+    merged.Merge(builder);
+  }
+  const TableStats expected = merged.Finalize();
+
+  JobExecutor executor = engine_->MakeExecutor();
+  ExecMetrics metrics;
+  auto sink = executor.Materialize(std::move(scan->data), "colstats", names,
+                                   true, &metrics);
+  ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+  EXPECT_EQ(sink->stats.row_count, expected.row_count);
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const ColumnStatsSnapshot* want = expected.Column(name);
+    const ColumnStatsSnapshot* got = sink->stats.Column(name);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->count, want->count);
+    EXPECT_EQ(got->null_count, want->null_count);
+    EXPECT_EQ(got->ndv, want->ndv);
+    EXPECT_EQ(got->min_value, want->min_value);
+    EXPECT_EQ(got->min_value.type(), want->min_value.type());
+    EXPECT_EQ(got->max_value, want->max_value);
+    EXPECT_EQ(got->max_value.type(), want->max_value.type());
+    EXPECT_EQ(got->histogram.boundaries(), want->histogram.boundaries());
+    EXPECT_EQ(got->histogram.count(), want->histogram.count());
+  }
+  EXPECT_GT(expected.Column("a.maybe")->null_count, 0u);
 }
 
 // --- Metrics ----------------------------------------------------------------------
