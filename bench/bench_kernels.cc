@@ -13,8 +13,10 @@
 //              hash/gather/probe loops (exec/vector_kernels.h).
 //
 // Plus filter- and hash-kernel microbenchmarks (VecPredicate::EvalBools vs
-// the seed's Bind + EvalBool loop; HashKeyColumns vs per-row HashRowKey)
-// and a columnar batch-size sweep (64/256/1024/4096).
+// the seed's Bind + EvalBool loop; HashKeyColumns vs per-row HashRowKey),
+// an online-statistics leg (GK insertion, and the column statistics builder
+// fed batch by batch vs row by row, on Q9's int64 and string columns) and
+// a columnar batch-size sweep (64/256/1024/4096).
 //
 // The report (stdout + BENCH_kernels.json) breaks wall time down per
 // kernel class (shuffle / build / probe) so every future perf PR has a
@@ -38,6 +40,8 @@
 #include "exec/reference_kernels.h"
 #include "exec/vector_kernels.h"
 #include "plan/expr.h"
+#include "stats/gk_quantile.h"
+#include "stats/table_stats.h"
 
 namespace dynopt {
 namespace bench {
@@ -250,6 +254,91 @@ std::pair<double, double> BenchHashKernels(const Dataset& data,
   return {row_best, col_best};
 }
 
+/// Bit-exact snapshot equality: same counts, NDV and histogram bounds to
+/// the bit, and min/max of the same type and value.
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() == ValueType::kDouble) return SameBits(a.AsDouble(), b.AsDouble());
+  return a == b;
+}
+
+bool SameSnapshot(const ColumnStatsSnapshot& a, const ColumnStatsSnapshot& b) {
+  const std::vector<double>& ab = a.histogram.boundaries();
+  const std::vector<double>& bb = b.histogram.boundaries();
+  if (ab.size() != bb.size()) return false;
+  for (size_t i = 0; i < ab.size(); ++i) {
+    if (!SameBits(ab[i], bb[i])) return false;
+  }
+  return a.count == b.count && a.null_count == b.null_count &&
+         SameBits(a.ndv, b.ndv) && SameValue(a.min_value, b.min_value) &&
+         SameValue(a.max_value, b.max_value) &&
+         a.histogram.count() == b.histogram.count();
+}
+
+/// Online-statistics leg on one column, best-of-iters ns per value: GK
+/// insertion alone (the column's keys into a summary at eps = 0.005, the
+/// resolution ColumnStatsBuilder collects at), and the column statistics
+/// builder fed batch by batch (AddBatch, the engine's path) and row by row
+/// (AddRow). Both builders must produce the identical snapshot.
+struct OnlineStatsLeg {
+  std::string column;
+  uint64_t values = 0;
+  double gk_insert_ns = 0;
+  double add_batch_ns = 0;
+  double add_row_ns = 0;
+};
+
+OnlineStatsLeg BenchOnlineStats(const Dataset& data, const std::string& column,
+                                size_t batch_size, int iters) {
+  const int slot = data.ColumnIndex(column);
+  DYNOPT_CHECK(slot >= 0);
+  const ColumnarDataset columnar = FromDataset(data, batch_size);
+  std::vector<double> keys;
+  for (const auto& part : data.partitions) {
+    for (const Row& row : part) {
+      const Value& v = row[static_cast<size_t>(slot)];
+      if (!v.is_null()) keys.push_back(v.NumericKey());
+    }
+  }
+  OnlineStatsLeg leg;
+  leg.column = column;
+  leg.values = data.NumRows();
+  const double values = static_cast<double>(std::max<uint64_t>(1, leg.values));
+  double gk_best = 1e300, batch_best = 1e300, row_best = 1e300;
+  TableStats by_batch, by_row;
+  for (int it = 0; it < iters; ++it) {
+    auto start = WallClock::now();
+    GkQuantileSketch gk(0.005);
+    for (double k : keys) gk.Insert(k);
+    DYNOPT_CHECK(gk.count() == keys.size());
+    gk_best = std::min(gk_best, SecondsSince(start));
+
+    start = WallClock::now();
+    TableStatsBuilder batched({column}, {slot});
+    for (const auto& part : columnar.partitions) {
+      for (const ColumnBatch& b : part) batched.AddBatch(b);
+    }
+    by_batch = batched.Finalize();
+    batch_best = std::min(batch_best, SecondsSince(start));
+
+    start = WallClock::now();
+    TableStatsBuilder by_rows({column}, {slot});
+    for (const auto& part : data.partitions) {
+      for (const Row& row : part) by_rows.AddRow(row);
+    }
+    by_row = by_rows.Finalize();
+    row_best = std::min(row_best, SecondsSince(start));
+  }
+  DYNOPT_CHECK(by_batch.row_count == by_row.row_count);
+  DYNOPT_CHECK(SameSnapshot(*by_batch.Column(column), *by_row.Column(column)));
+  leg.gk_insert_ns = gk_best * 1e9 / values;
+  leg.add_batch_ns = batch_best * 1e9 / values;
+  leg.add_row_ns = row_best * 1e9 / values;
+  return leg;
+}
+
 struct Breakdown {
   double shuffle = 0, build = 0, probe = 0;
   double kernel_total = 0;  // shuffle + build + probe wall clocks.
@@ -310,6 +399,9 @@ int Main(int argc, char** argv) {
   Dataset supplier = MustExec(&executor, PlanNode::Scan("supplier", "s"));
   Dataset partsupp = MustExec(&executor, PlanNode::Scan("partsupp", "ps"));
   Dataset nation = MustExec(&executor, PlanNode::Scan("nation", "n"));
+  // Q9's orders, unfiltered, for the string column of the statistics leg.
+  const Dataset orders_all =
+      MustExec(&executor, PlanNode::Scan("orders", "o"));
 
   const uint64_t lineitem_rows = lineitem.NumRows();
   std::vector<Dataset> build_inputs;
@@ -388,6 +480,14 @@ int Main(int argc, char** argv) {
   auto [hash_seed_s, hash_col_s] =
       BenchHashKernels(lineitem, default_batch, iters);
 
+  // Online statistics on int64 and string columns of Q9's inputs.
+  std::vector<OnlineStatsLeg> stats_legs;
+  for (const char* col : {"l.l_orderkey", "l.l_partkey"}) {
+    stats_legs.push_back(BenchOnlineStats(lineitem, col, default_batch, iters));
+  }
+  stats_legs.push_back(
+      BenchOnlineStats(orders_all, "o.o_clerk", default_batch, iters));
+
   const double speedup_total = seed_best.kernel_total / col_best.kernel_total;
   const double speedup_e2e = seed_best.end_to_end / col_best.end_to_end;
   const double filter_speedup = filter_seed_s / filter_col_s;
@@ -414,6 +514,13 @@ int Main(int argc, char** argv) {
               filter_seed_s, filter_col_s, filter_speedup);
   std::printf("hash kernel:   seed=%.4fs columnar=%.4fs speedup=%.2fx\n",
               hash_seed_s, hash_col_s, hash_speedup);
+  std::printf("\nonline statistics (ns/value; AddBatch == AddRow snapshots):\n");
+  for (const OnlineStatsLeg& leg : stats_legs) {
+    std::printf("  %-14s values=%-9llu gk_insert=%6.1f add_batch=%6.1f "
+                "add_row=%6.1f\n",
+                leg.column.c_str(), static_cast<unsigned long long>(leg.values),
+                leg.gk_insert_ns, leg.add_batch_ns, leg.add_row_ns);
+  }
   std::printf("\nbatch-size sweep (columnar kernels):\n");
   for (size_t i = 0; i < sweep_sizes.size(); ++i) {
     std::printf("  batch=%-5zu shuffle=%7.3fs build=%7.3fs probe=%7.3fs "
@@ -458,6 +565,17 @@ int Main(int argc, char** argv) {
        << "  \"hash_kernel\": {\"seed_s\": " << hash_seed_s
        << ", \"columnar_s\": " << hash_col_s
        << ", \"speedup\": " << hash_speedup << "},\n"
+       << "  \"online_stats\": [";
+  for (size_t i = 0; i < stats_legs.size(); ++i) {
+    const OnlineStatsLeg& leg = stats_legs[i];
+    json << (i == 0 ? "\n" : ",\n")
+         << "    {\"column\": \"" << leg.column
+         << "\", \"values\": " << leg.values
+         << ", \"gk_insert_ns_per_value\": " << leg.gk_insert_ns
+         << ", \"add_batch_ns_per_value\": " << leg.add_batch_ns
+         << ", \"add_row_ns_per_value\": " << leg.add_row_ns << "}";
+  }
+  json << "\n  ],\n"
        << "  \"batch_size_sweep\": [";
   for (size_t i = 0; i < sweep_sizes.size(); ++i) {
     json << (i == 0 ? "\n" : ",\n")

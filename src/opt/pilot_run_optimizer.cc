@@ -117,7 +117,7 @@ Result<OptimizerRunResult> PilotRunOptimizer::Run(const QuerySpec& query) {
             sel.push_back(static_cast<uint32_t>(i));
           }
         }
-        builder.AddBatch(GatherBatch(b, sel.data(), sel.size()));
+        builder.AddBatch(b, sel.data(), sel.size());
       }
     }
     // Charge the pilot-run work (it runs cluster-parallel).

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/value.h"
+#include "exec/batch.h"
 #include "stats/gk_quantile.h"
 #include "stats/histogram.h"
 #include "stats/hyperloglog.h"
@@ -46,12 +47,21 @@ class ColumnStatsBuilder {
   void Add(const Value& v) { Add(v, v.Hash()); }
   /// `hash` is v.Hash(), e.g. a batch column's cached HashAt.
   void Add(const Value& v, uint64_t hash);
+  /// Adds rows sel[0..n) of `col` in order (rows 0..n when `sel` is null):
+  /// exactly Add(col.ValueAt(r), col.HashAt(r)) for each row r, but int64,
+  /// double and string columns run a typed loop that builds no Value.
+  void AddColumn(const ColumnVector& col, const uint32_t* sel, size_t n);
   void Merge(const ColumnStatsBuilder& other);
   ColumnStatsSnapshot Finalize() const;
 
   uint64_t count() const { return count_; }
 
  private:
+  template <typename T>
+  void AddNumbers(const std::vector<T>& data, const ColumnVector& col,
+                  const uint32_t* sel, size_t n);
+  void AddStrings(const ColumnVector& col, const uint32_t* sel, size_t n);
+
   StatsOptions options_;
   uint64_t count_ = 0;
   uint64_t null_count_ = 0;

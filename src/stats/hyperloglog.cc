@@ -11,22 +11,6 @@ HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
   registers_.assign(static_cast<size_t>(1) << precision, 0);
 }
 
-void HyperLogLog::Add(uint64_t hash) {
-  ++num_adds_;
-  const uint64_t index = hash >> (64 - precision_);
-  const uint64_t remaining = hash << precision_;
-  // Rank = position of leftmost 1-bit in the remaining bits (1-based);
-  // all-zero remainder gets the maximum rank.
-  int rank;
-  if (remaining == 0) {
-    rank = 64 - precision_ + 1;
-  } else {
-    rank = __builtin_clzll(remaining) + 1;
-  }
-  auto& reg = registers_[index];
-  if (rank > reg) reg = static_cast<uint8_t>(rank);
-}
-
 double HyperLogLog::Estimate() const {
   const double m = static_cast<double>(registers_.size());
   double alpha;

@@ -39,14 +39,12 @@ void TableStatsBuilder::AddRow(const Row& row) {
   }
 }
 
-void TableStatsBuilder::AddBatch(const ColumnBatch& batch) {
-  row_count_ += batch.num_rows;
+void TableStatsBuilder::AddBatch(const ColumnBatch& batch,
+                                 const uint32_t* sel, size_t n) {
+  row_count_ += n;
   for (size_t i = 0; i < column_indices_.size(); ++i) {
-    const ColumnVector& col =
-        batch.columns[static_cast<size_t>(column_indices_[i])];
-    for (size_t r = 0; r < batch.num_rows; ++r) {
-      builders_[i].Add(col.ValueAt(r), col.HashAt(r));
-    }
+    builders_[i].AddColumn(
+        batch.columns[static_cast<size_t>(column_indices_[i])], sel, n);
   }
 }
 

@@ -44,7 +44,12 @@ class TableStatsBuilder {
   void AddRow(const Row& row);
   /// Column by column; each column sees its values in row order, exactly
   /// as AddRow over the same rows.
-  void AddBatch(const ColumnBatch& batch);
+  void AddBatch(const ColumnBatch& batch) {
+    AddBatch(batch, nullptr, batch.num_rows);
+  }
+  /// Rows sel[0..n) of `batch` in that order, as AddBatch of the gathered
+  /// rows would add them.
+  void AddBatch(const ColumnBatch& batch, const uint32_t* sel, size_t n);
   void Merge(const TableStatsBuilder& other);
   TableStats Finalize() const;
 
