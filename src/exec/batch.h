@@ -25,11 +25,12 @@ namespace dynopt {
 ///
 /// The batch is the engine's one data format: tables store batches
 /// (storage/table.h), scans copy slices of them, and job results and
-/// materialized intermediates stay batches. Rows remain only at the load
-/// API, result delivery, the checksummed DRB files and the seed reference
-/// kernels. Every batch carries the per-row byte sizes (`row_sizes`,
-/// RowSizeBytes of each row) computed once when the row was added, so
-/// network/disk metering equals the row-based cost model byte for byte.
+/// materialized intermediates stay batches, on disk as well (the
+/// checksummed column blocks of storage/serde.h). Rows remain only at the
+/// load API, result delivery and the seed reference kernels. Every batch
+/// carries the per-row byte sizes (`row_sizes`, RowSizeBytes of each row)
+/// computed once when the row was added, so network/disk metering equals
+/// the row-based cost model byte for byte.
 
 /// Physical layout of one column vector.
 enum class ColumnKind : uint8_t {
@@ -293,7 +294,8 @@ ColumnBatch EmptyBatch(const std::vector<ValueType>& types);
 void AppendRowToBatch(ColumnBatch* batch, const Row& row, uint64_t row_size);
 
 /// Builds one batch from `n` rows starting at `rows` (kValues for a column
-/// that mixes value types), computing each row's RowSizeBytes.
+/// that mixes value types), computing each row's RowSizeBytes. A test
+/// bridge, like FromDataset below, which splits rows with it.
 ColumnBatch BatchFromRows(const Row* rows, size_t n, size_t num_columns);
 
 /// Test bridges to the row Dataset of the reference kernels. FromDataset

@@ -36,9 +36,9 @@ struct FaultInjectionConfig {
   double straggler_probability = 0.0;
   double straggler_multiplier = 4.0;
 
-  /// Probability that a materialized partition file is corrupted (one byte
-  /// flipped) before read-back; the serde checksum detects it and the
-  /// partition is re-materialized.
+  /// Probability that a materialized partition's temp file is corrupted
+  /// (one byte flipped) before its verify read; a column-block checksum
+  /// (storage/serde.h) detects it and the partition is re-materialized.
   double corruption_probability = 0.0;
 
   /// Whole-query failure injection: the query aborts with kTransient when
@@ -280,13 +280,15 @@ struct ClusterConfig {
   /// Per-value cost of feeding the online statistics sketches.
   double stats_seconds_per_value = 2.5e-5;
 
-  /// When set, every Sink physically round-trips each partition through a
-  /// binary temp file (storage/serde.h) — the paper's "stored in a
-  /// temporary file" — exercising the on-disk format in the production
-  /// path. Off by default: the simulated I/O cost is charged either way
-  /// and benchmarks should not measure the host's filesystem.
+  /// When set, every Sink writes each partition's batches to a checksummed
+  /// column-block temp file (storage/serde.h) and reads it back to verify
+  /// it — the paper's "stored in a temporary file" — exercising the
+  /// on-disk format in the production path. Off by default: the simulated
+  /// I/O cost is charged either way and benchmarks should not measure the
+  /// host's filesystem.
   bool materialize_to_disk = false;
-  /// Directory for materialization temp files.
+  /// Directory for spill and materialization temp files; every file name
+  /// starts with ProcessSpillPrefix().
   std::string spill_directory = "/tmp";
 
   /// Deterministic fault injection (disabled by default). The engine arms

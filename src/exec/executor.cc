@@ -77,13 +77,16 @@ ColumnBatch FlatPartition(const std::vector<ColumnBatch>& batches,
   return flat;
 }
 
-/// Rows `sel` of `batch`, in selection order (spill files hold rows).
-std::vector<Row> RowsAt(const ColumnBatch& batch,
-                        const std::vector<uint32_t>& sel) {
-  std::vector<Row> rows;
-  rows.reserve(sel.size());
-  for (uint32_t i : sel) rows.push_back(batch.RowAt(i));
-  return rows;
+/// The one batch a grace-join spill file holds.
+Result<ColumnBatch> ReadSpillFile(const std::string& path) {
+  DYNOPT_ASSIGN_OR_RETURN(std::vector<ColumnBatch> blocks,
+                          ReadBatchFile(path));
+  if (blocks.size() != 1) {
+    return Status::DataCorruption(path + " holds " +
+                                  std::to_string(blocks.size()) +
+                                  " blocks, not 1");
+  }
+  return std::move(blocks[0]);
 }
 
 uint64_t MaxOver(const std::vector<uint64_t>& per_node) {
@@ -663,88 +666,70 @@ Status JobExecutor::GraceJoinPartition(
       static_cast<double>(build.num_rows + probe.num_rows) *
       cluster_.cpu_seconds_per_tuple;
 
-  // Spill every non-empty sub-partition pair to checksummed row files: from
-  // here on, the partition's resident set is one sub-partition pair at a
-  // time. Every spilled byte is written once and read back once, charged at
-  // the disk rates.
+  // Spill every non-empty sub-partition pair to checksummed column-block
+  // files, one block per side: from here on, the partition's resident set
+  // is one sub-partition pair at a time. Every spilled byte is written once
+  // and read back once, charged at the disk rates. Then join each pair:
+  // read both sides back, drop the files, recurse (a still-oversized
+  // sub-partition splits again under a fresh salt, up to
+  // kMaxSpillRecursion). On error every file of this level is removed.
   const uint64_t serial =
       spill_serial_.fetch_add(1, std::memory_order_relaxed);
   const std::string base =
       cluster_.spill_directory + "/" +
       (ctx_ != nullptr ? ctx_->SpillFilePrefix()
-                       : std::string("__spill_q0_")) +
+                       : ProcessSpillPrefix() + "q0_") +
       "s" + std::to_string(serial) + "_p" + std::to_string(part) + "_d" +
       std::to_string(depth) + "_k";
-  std::vector<std::string> files;
-  files.reserve(size_t{kSpillFanout} * 2);
-  auto cleanup = [&files]() {
-    for (const std::string& f : files) std::remove(f.c_str());
+  auto path = [&base](int k, const char* side) {
+    return base + std::to_string(k) + side;
   };
-  std::vector<char> live(kSpillFanout, 0);
-  for (int k = 0; k < kSpillFanout; ++k) {
-    if (build_sub[k].empty() && probe_sub[k].empty()) continue;
-    live[k] = 1;
-    uint64_t pair_bytes = 0;
-    for (uint32_t i : build_sub[k]) pair_bytes += build.row_sizes[i];
-    for (uint32_t i : probe_sub[k]) pair_bytes += probe.row_sizes[i];
-    const std::string bpath = base + std::to_string(k) + ".build.drb";
-    const std::string ppath = base + std::to_string(k) + ".probe.drb";
-    files.push_back(bpath);
-    files.push_back(ppath);
-    Status st = WriteRowsFile(bpath, RowsAt(build, build_sub[k]));
-    if (st.ok()) st = WriteRowsFile(ppath, RowsAt(probe, probe_sub[k]));
-    if (!st.ok()) {
-      cleanup();
-      return st;
+  std::vector<int> live;
+  auto spill_and_join = [&]() -> Status {
+    for (int k = 0; k < kSpillFanout; ++k) {
+      if (build_sub[k].empty() && probe_sub[k].empty()) continue;
+      live.push_back(k);
+      DYNOPT_RETURN_IF_ERROR(WriteBatchFile(path(k, ".build.drb"), build,
+                                            build_sub[k].data(),
+                                            build_sub[k].size()));
+      DYNOPT_RETURN_IF_ERROR(WriteBatchFile(path(k, ".probe.drb"), probe,
+                                            probe_sub[k].data(),
+                                            probe_sub[k].size()));
+      uint64_t pair_bytes = 0;
+      for (uint32_t i : build_sub[k]) pair_bytes += build.row_sizes[i];
+      for (uint32_t i : probe_sub[k]) pair_bytes += probe.row_sizes[i];
+      stats->spilled_bytes += pair_bytes;
+      stats->spill_seconds += static_cast<double>(pair_bytes) *
+                              (cluster_.disk_write_seconds_per_byte +
+                               cluster_.disk_read_seconds_per_byte);
+      ++stats->spill_partitions;
     }
-    stats->spilled_bytes += pair_bytes;
-    stats->spill_seconds += static_cast<double>(pair_bytes) *
-                            (cluster_.disk_write_seconds_per_byte +
-                             cluster_.disk_read_seconds_per_byte);
-    ++stats->spill_partitions;
-  }
-  build_sub.clear();
-  probe_sub.clear();
-
-  // Join each sub-partition pair: read both sides back, drop the files,
-  // recurse (a still-oversized sub-partition splits again under a fresh
-  // salt, up to kMaxSpillRecursion).
-  for (int k = 0; k < kSpillFanout; ++k) {
-    if (!live[k]) continue;
-    Status alive = CheckAlive();
-    if (!alive.ok()) {
-      cleanup();
-      return alive;
+    build_sub.clear();
+    probe_sub.clear();
+    for (int k : live) {
+      DYNOPT_RETURN_IF_ERROR(CheckAlive());
+      DYNOPT_ASSIGN_OR_RETURN(ColumnBatch sub_build,
+                              ReadSpillFile(path(k, ".build.drb")));
+      DYNOPT_ASSIGN_OR_RETURN(ColumnBatch sub_probe,
+                              ReadSpillFile(path(k, ".probe.drb")));
+      std::remove(path(k, ".build.drb").c_str());
+      std::remove(path(k, ".probe.drb").c_str());
+      const uint64_t next_salt = Mix64(
+          salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
+      DYNOPT_RETURN_IF_ERROR(GraceJoinPartition(
+          sub_build, sub_probe, build_keys, probe_keys, depth + 1, next_salt,
+          part, work, sink, stats));
     }
-    const std::string bpath = base + std::to_string(k) + ".build.drb";
-    const std::string ppath = base + std::to_string(k) + ".probe.drb";
-    auto sub_build = ReadRowsFile(bpath);
-    if (!sub_build.ok()) {
-      cleanup();
-      return sub_build.status();
-    }
-    auto sub_probe = ReadRowsFile(ppath);
-    if (!sub_probe.ok()) {
-      cleanup();
-      return sub_probe.status();
-    }
-    std::remove(bpath.c_str());
-    std::remove(ppath.c_str());
-    const uint64_t next_salt = Mix64(
-        salt ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1)));
-    Status st = GraceJoinPartition(
-        BatchFromRows(sub_build->data(), sub_build->size(),
-                      build.columns.size()),
-        BatchFromRows(sub_probe->data(), sub_probe->size(),
-                      probe.columns.size()),
-        build_keys, probe_keys, depth + 1, next_salt, part, work, sink,
-        stats);
-    if (!st.ok()) {
-      cleanup();
-      return st;
+    return Status::OK();
+  };
+  Status st = spill_and_join();
+  if (!st.ok()) {
+    for (int k : live) {
+      std::remove(path(k, ".build.drb").c_str());
+      std::remove(path(k, ".probe.drb").c_str());
     }
   }
-  return Status::OK();
+  return st;
 }
 
 Result<ColumnarDataset> JobExecutor::LocalHashJoinColumnar(
@@ -1393,21 +1378,20 @@ Result<SinkResult> JobExecutor::Materialize(
     std::vector<uint64_t> part_retries(num_parts, 0);
     std::vector<uint64_t> part_corrupted(num_parts, 0);
     pool_->ParallelFor(num_parts, [&](size_t p) {
-      std::string path = cluster_.spill_directory + "/" + name + ".p" +
+      std::string path = cluster_.spill_directory + "/" +
+                         ProcessSpillPrefix() + name + ".p" +
                          std::to_string(p) + ".rows";
-      std::vector<Row> rows;
-      AppendRowsOf(data.partitions[p], &rows);
       Status st;
       for (int attempt = 0;; ++attempt) {
-        st = WriteRowsFile(path, rows);
+        st = WriteBatchFile(path, data.partitions[p]);
         if (!st.ok()) break;
         if (inject && faults_->CorruptsBlock(mat_stage, p, attempt)) {
           (void)CorruptByteInFile(path,
                                   faults_->CorruptionOffset(mat_stage, p));
         }
-        // The verify read: a clean read-back holds exactly `rows`, which
-        // the partition's batches already hold.
-        auto back = ReadRowsFile(path);
+        // The verify read: a clean read-back holds exactly the batches the
+        // partition already holds.
+        auto back = ReadBatchFile(path);
         if (back.ok()) break;
         st = back.status();
         if (st.code() != StatusCode::kDataCorruption) break;

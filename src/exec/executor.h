@@ -55,7 +55,7 @@ struct ColumnarShuffleResult {
 /// simulated seconds under the ClusterConfig cost model. Per pipeline
 /// stage, simulated time is max-over-nodes. Tables store batches too: a
 /// scan slices them and Materialize moves its input's batches into the
-/// temp table. Rows appear only in the checksummed DRB spill files.
+/// temp table. Spill and temp files hold batches too (storage/serde.h).
 ///
 /// The data-movement kernels (RepartitionColumnar / LocalHashJoinColumnar)
 /// are public: tests compare them against the sequential reference
@@ -208,12 +208,12 @@ class JobExecutor {
 
   /// Grace hash join of one overflowing partition (`build`/`probe` are its
   /// flat batches): recursively splits both sides by a re-salted key hash
-  /// (Mix64(HashKeyColumns(...) ^ salt)) into checksummed DRB row files
-  /// under spill_directory, then joins each sub-partition pair (in memory
-  /// once it fits the budget, or unconditionally at kMaxSpillRecursion — a
-  /// single query always completes). Emits into `sink` and accounts
-  /// everything in `stats`. Spill files are removed as consumed and on
-  /// error.
+  /// (Mix64(HashKeyColumns(...) ^ salt)) into checksummed column-block
+  /// files under spill_directory, then joins each sub-partition pair (in
+  /// memory once it fits the budget, or unconditionally at
+  /// kMaxSpillRecursion — a single query always completes). Emits into
+  /// `sink` and accounts everything in `stats`. Spill files are removed as
+  /// consumed and on error.
   Status GraceJoinPartition(const ColumnBatch& build, const ColumnBatch& probe,
                             const std::vector<int>& build_keys,
                             const std::vector<int>& probe_keys, int depth,

@@ -58,7 +58,8 @@ Result<OptimizerRunResult> RunWithRecovery(Optimizer* optimizer,
   // "q<id>_" (Optimizer::TempPrefix), so the sweep is scoped to THIS
   // query — under concurrent traffic an unscoped drop would destroy other
   // in-flight queries' intermediates. Ungoverned runs keep the historical
-  // drop-everything behavior (one query at a time by construction).
+  // drop-everything behavior (one query at a time by construction), for
+  // spill files limited to this process's (ProcessSpillPrefix).
   const std::string temp_prefix =
       optimizer->context() != nullptr
           ? "q" + std::to_string(optimizer->context()->id()) + "_"
@@ -69,7 +70,7 @@ Result<OptimizerRunResult> RunWithRecovery(Optimizer* optimizer,
   const std::string spill_prefix =
       optimizer->context() != nullptr
           ? optimizer->context()->SpillFilePrefix()
-          : std::string("__spill_");
+          : ProcessSpillPrefix();
   (void)RemoveFilesWithPrefix(engine->cluster().spill_directory, spill_prefix);
   r->total_paid_seconds = r->wasted_seconds;
   return last;

@@ -3,60 +3,65 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
+#include "exec/batch.h"
 
 namespace dynopt {
 
-/// Binary row serialization for materialized intermediate results. The
-/// paper's system stores each re-optimization point's output "in a
-/// temporary file"; this is the on-disk format: a 1-byte type tag per
-/// value, little-endian fixed-width payloads, length-prefixed strings,
-/// rows prefixed by their value count.
+/// The engine's one on-disk format, DCB1 ("Dynopt Column Blocks"): the
+/// grace join's spill files and the paper's temporary files for
+/// materialized intermediates ("stored in a temporary file") both hold
+/// ColumnBatches, written column by column and read back without passing
+/// through rows.
 ///
-/// The format is self-describing per value (schemas of intermediates are
-/// inferred from data on read-back) and append-friendly.
+/// A file is the 4-byte magic "DCB1", a varint block count, then the
+/// blocks. A block carries a varint row count, a varint payload size, a
+/// fixed64 checksum (HashBytes of the payload combined with the row
+/// count) and the payload, which holds one batch's rows:
+///   - `row_sizes`, one little-endian fixed64 per row;
+///   - a varint column count, then per column its ColumnKind byte, a
+///     validity flag byte (followed by one byte per row when set) and its
+///     data: raw little-endian arrays for kInt64 / kDouble / kBool; for
+///     kString a varint entry count, the dictionary entries the block's
+///     rows use (varint length + bytes each) and one fixed32 code per row
+///     into those entries (0 for a NULL row); for kValues one EncodeValue
+///     record per row.
+/// Every framing, structure or checksum fault decodes as kDataCorruption
+/// (retryable by re-materializing the data), and no count read from a file
+/// drives an allocation larger than the bytes that remain.
 
-/// Appends the encoding of `v` to `out`.
+/// Appends the encoding of `v` to `out`: a 1-byte type tag, then a
+/// little-endian fixed-width payload or a length-prefixed string.
 void EncodeValue(const Value& v, std::string* out);
 
 /// Decodes one value starting at `*offset`; advances the offset.
-Result<Value> DecodeValue(const std::string& buffer, size_t* offset);
+Result<Value> DecodeValue(std::string_view buffer, size_t* offset);
 
-/// Appends the encoding of `row` to `out`.
-void EncodeRow(const Row& row, std::string* out);
+/// A DCB1 image holding one block: rows `sel[0..n)` of `batch`, in
+/// selection order.
+std::string EncodeBatchFile(const ColumnBatch& batch, const uint32_t* sel,
+                            size_t n);
 
-/// Decodes one row starting at `*offset`; advances the offset.
-Result<Row> DecodeRow(const std::string& buffer, size_t* offset);
+/// A DCB1 image holding one block per batch, each with all its rows.
+std::string EncodeBatchFile(const std::vector<ColumnBatch>& batches);
 
-/// Serializes all rows into one buffer (count-prefixed).
-std::string EncodeRows(const std::vector<Row>& rows);
+/// Inverse of EncodeBatchFile: one batch per block, in file order.
+Result<std::vector<ColumnBatch>> DecodeBatchFile(std::string_view buffer);
 
-/// Inverse of EncodeRows.
-Result<std::vector<Row>> DecodeRows(const std::string& buffer);
+/// Writes EncodeBatchFile(...) to `path`, overwriting.
+Status WriteBatchFile(const std::string& path, const ColumnBatch& batch,
+                      const uint32_t* sel, size_t n);
+Status WriteBatchFile(const std::string& path,
+                      const std::vector<ColumnBatch>& batches);
 
-/// Serializes rows into the checksummed block format files use: a 4-byte
-/// magic ("DRB2"), the varint total row count, then blocks of up to 1024
-/// rows, each carrying (varint row count, varint payload size, fixed64
-/// payload checksum, payload of EncodeRow records). Any single flipped
-/// byte is detectable: payload flips break the block checksum, header
-/// flips break framing (offset/count mismatches), and the decoder verifies
-/// both per block and for the whole buffer.
-std::string EncodeRowsChecksummed(const std::vector<Row>& rows);
-
-/// Inverse of EncodeRowsChecksummed. Every framing or checksum violation
-/// returns kDataCorruption (retryable by re-materializing the data).
-Result<std::vector<Row>> DecodeRowsChecksummed(const std::string& buffer);
-
-/// Writes `rows` to `path` (EncodeRowsChecksummed format), overwriting.
-Status WriteRowsFile(const std::string& path, const std::vector<Row>& rows);
-
-/// Reads a file written by WriteRowsFile. kNotFound when the file is
-/// missing; kDataCorruption when its contents fail framing or checksum
-/// verification.
-Result<std::vector<Row>> ReadRowsFile(const std::string& path);
+/// Reads a file written by WriteBatchFile. kNotFound when the file is
+/// missing; kExecutionError when reading it fails; kDataCorruption when
+/// its contents fail framing or checksum verification.
+Result<std::vector<ColumnBatch>> ReadBatchFile(const std::string& path);
 
 /// Flips one bit of the byte at `offset % file size` in `path` — the fault
 /// injector's physical corruption primitive (and available to tests).
@@ -65,8 +70,9 @@ Status CorruptByteInFile(const std::string& path, uint64_t offset);
 /// Deletes every regular file directly under `dir` whose name starts with
 /// `prefix`; returns how many were removed. A missing or unreadable
 /// directory removes nothing. The spill janitor: recovery sweeps a query's
-/// grace-join spill files ("__spill_q<id>_*") with this after cancellation
-/// or terminal failure, and tests assert zero leaks with the counter below.
+/// grace-join spill files (QueryContext::SpillFilePrefix) with this after
+/// cancellation or terminal failure, and tests assert zero leaks with the
+/// counter below.
 int RemoveFilesWithPrefix(const std::string& dir, const std::string& prefix);
 
 /// Counts regular files directly under `dir` whose name starts with

@@ -170,7 +170,8 @@ TEST_F(CancelTest, RecoverySweepsSpillFilesOfCancelledQuery) {
   // partition's write and its read-back; terminal recovery must sweep them.
   QueryContext ctx("orphan");
   std::string orphan = spill_dir_ + "/" + ctx.SpillFilePrefix() + "s0_p0.drb";
-  ASSERT_TRUE(WriteRowsFile(orphan, {{Value(int64_t{1})}}).ok());
+  const Row row = {Value(int64_t{1})};
+  ASSERT_TRUE(WriteBatchFile(orphan, {BatchFromRows(&row, 1, 1)}).ok());
   ASSERT_EQ(CountFilesWithPrefix(spill_dir_, "__spill_"), 1);
 
   ctx.Cancel("abandoned");

@@ -51,15 +51,28 @@ TEST(SerdeTest, StringWithEmbeddedZerosAndHighBytes) {
   EXPECT_EQ(decoded->AsString(), raw);
 }
 
+// --- Column-block round trips ---------------------------------------------
+
+/// Every row of `batches`, in order.
+std::vector<Row> RowsOf(const std::vector<ColumnBatch>& batches) {
+  std::vector<Row> rows;
+  for (const ColumnBatch& b : batches) {
+    for (size_t i = 0; i < b.num_rows; ++i) rows.push_back(b.RowAt(i));
+  }
+  return rows;
+}
+
+/// A one-batch DCB1 image of `rows`.
+std::string EncodeRowsAsBatch(const std::vector<Row>& rows, size_t width) {
+  return EncodeBatchFile({BatchFromRows(rows.data(), rows.size(), width)});
+}
+
 TEST(SerdeTest, RowRoundTrip) {
-  Row row = {Value(int64_t{42}), Value::Null(), Value("x"), Value(2.5),
-             Value(true)};
-  std::string buffer;
-  EncodeRow(row, &buffer);
-  size_t offset = 0;
-  auto decoded = DecodeRow(buffer, &offset);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), row);
+  std::vector<Row> rows = {{Value(int64_t{42}), Value::Null(), Value("x"),
+                            Value(2.5), Value(true)}};
+  auto decoded = DecodeBatchFile(EncodeRowsAsBatch(rows, 5));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(RowsOf(decoded.value()), rows);
 }
 
 class SerdeRandomTest : public ::testing::TestWithParam<uint64_t> {};
@@ -70,9 +83,9 @@ TEST_P(SerdeRandomTest, RandomRowBatchesRoundTrip) {
   Rng rng(GetParam());
   std::vector<Row> rows;
   const size_t n = rng.NextUint64(200) + 1;
+  const size_t width = rng.NextUint64(8) + 1;
   for (size_t i = 0; i < n; ++i) {
     Row row;
-    const size_t width = rng.NextUint64(8) + 1;
     for (size_t c = 0; c < width; ++c) {
       switch (rng.NextUint64(5)) {
         case 0:
@@ -100,21 +113,19 @@ TEST_P(SerdeRandomTest, RandomRowBatchesRoundTrip) {
     }
     rows.push_back(std::move(row));
   }
-  auto decoded = DecodeRows(EncodeRows(rows));
+  auto decoded = DecodeBatchFile(EncodeRowsAsBatch(rows, width));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value(), rows);
+  EXPECT_EQ(RowsOf(decoded.value()), rows);
 }
 
 // --- Corruption handling -----------------------------------------------------
 
 TEST(SerdeTest, TruncatedBuffersError) {
-  Row row = {Value(int64_t{1}), Value("abcdef")};
-  std::string buffer;
-  EncodeRow(row, &buffer);
+  std::string buffer =
+      EncodeRowsAsBatch({{Value(int64_t{1}), Value("abcdef")}}, 2);
   for (size_t cut = 0; cut < buffer.size(); ++cut) {
     std::string truncated = buffer.substr(0, cut);
-    size_t offset = 0;
-    auto decoded = DecodeRow(truncated, &offset);
+    auto decoded = DecodeBatchFile(truncated);
     EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
   }
 }
@@ -127,10 +138,9 @@ TEST(SerdeTest, UnknownTagErrors) {
 }
 
 TEST(SerdeTest, TrailingBytesRejected) {
-  std::vector<Row> rows = {{Value(int64_t{1})}};
-  std::string buffer = EncodeRows(rows);
+  std::string buffer = EncodeRowsAsBatch({{Value(int64_t{1})}}, 1);
   buffer.push_back('x');
-  EXPECT_FALSE(DecodeRows(buffer).ok());
+  EXPECT_FALSE(DecodeBatchFile(buffer).ok());
 }
 
 // --- File I/O -----------------------------------------------------------------
@@ -139,12 +149,14 @@ TEST(SerdeTest, FileRoundTrip) {
   std::vector<Row> rows = {{Value(int64_t{1}), Value("a")},
                            {Value(int64_t{2}), Value::Null()}};
   std::string path = "/tmp/dynopt_serde_test.rows";
-  ASSERT_TRUE(WriteRowsFile(path, rows).ok());
-  auto back = ReadRowsFile(path);
+  ASSERT_TRUE(
+      WriteBatchFile(path, {BatchFromRows(rows.data(), rows.size(), 2)})
+          .ok());
+  auto back = ReadBatchFile(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value(), rows);
+  EXPECT_EQ(RowsOf(back.value()), rows);
   std::remove(path.c_str());
-  EXPECT_EQ(ReadRowsFile(path).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ReadBatchFile(path).status().code(), StatusCode::kNotFound);
 }
 
 // --- Disk-backed materialization through the full optimizer -------------------
